@@ -11,7 +11,7 @@ import numpy as np
 from robrsvd import LambdaGrid, select_lambda
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import estimate_scale_mad, huber_weight
-from robrsvd.selection import gcv_v_with_trace
+from robrsvd.selection import _ConditionalKernel
 from robrsvd.simulate import SimScenario, generate
 
 result = generate(SimScenario(grid_size=(50, 50), noise_variance=1.0,
@@ -28,10 +28,11 @@ print(f"SVD initialization: s = {s:.1f}, MAD residual scale = {sigma:.3f}")
 
 spec = TwoWayPenaltySpec(build_roughness_penalty(X.row_grid),
                          build_roughness_penalty(X.col_grid))
+# one eigendecomposition of the weighted penalty serves every candidate: in
+# that basis the penalized update is diagonal in lambda
+kernel = _ConditionalKernel(X, u, weights, spec)
 grid = LambdaGrid.log_default(1e-8, 1e2, 15)
-chosen, trace = select_lambda(
-    grid, lambda lam: gcv_v_with_trace(X, u, weights, spec.with_lambdas(0.0, lam))
-)
+chosen, trace = select_lambda(grid, kernel.score)
 
 print(f"\n{'lambda':>12s} {'GCV':>14s} {'hat trace':>10s}")
 for rec in trace.records:

@@ -22,7 +22,7 @@ from .dataio import MatrixFile, load, log_transform, save, save_json
 from .decompose import FitOptions, fit
 from .imputation import _initial_fill
 from .robust import DEFAULT_THETA, RobustLossSpec, estimate_scale_mad
-from .selection import GcvTrace, LambdaGrid, select_lambda, gcv_u_with_trace, gcv_v_with_trace
+from .selection import GcvTrace, LambdaGrid, _ConditionalKernel, select_lambda
 from .penalties import TwoWayPenaltySpec, build_roughness_penalty
 from .simulate import (
     SimScenario,
@@ -340,15 +340,16 @@ def cmd_gcv_trace(args) -> int:
     loss = RobustLossSpec(theta=cfg["theta"], sigma=sigma, sigma_source="fixed")
     weights = np.where(X.mask, loss.weights(residuals, sigma), 0.0)
 
+    # both smoothing parameters start at 0, so the other side is unpenalized
     spec = TwoWayPenaltySpec(build_roughness_penalty(X.row_grid), build_roughness_penalty(X.col_grid))
     grid = _lambda_grid(cfg)
     if cfg["trace"] == "v":
-        score = lambda lam: gcv_v_with_trace(X, u, weights, spec.with_lambdas(0.0, lam))
+        kernel = _ConditionalKernel(X, u, weights, spec)
     elif cfg["trace"] == "u":
-        score = lambda lam: gcv_u_with_trace(X, v, weights, spec.with_lambdas(lam, 0.0))
+        kernel = _ConditionalKernel.for_u(X, v, weights, spec)
     else:
         raise ValueError("trace must be 'u' or 'v'")
-    _, trace = select_lambda(grid, score)
+    _, trace = select_lambda(grid, kernel.score)
     trace.write_csv(cfg["out"])
     write_manifest(None, "gcv-trace", cfg, filename=cfg["out"] + ".manifest.json")
     return 0

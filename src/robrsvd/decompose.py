@@ -20,7 +20,7 @@ import numpy as np
 from .matrices import ObservedMatrix, ResidualMatrix
 from .penalties import TwoWayPenaltySpec, build_roughness_penalty, second_difference_penalty, two_way_penalty
 from .robust import RobustLossSpec, estimate_scale_mad, huber_rho, squared_loss_spec
-from .selection import LambdaGrid, gcv_u_with_trace, gcv_v_with_trace, select_lambda
+from .selection import LambdaGrid, _ConditionalKernel, select_lambda
 from .updates import hat_trace_u, hat_trace_v, update_u_given_v, update_v_given_u
 
 __all__ = [
@@ -203,10 +203,10 @@ def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts:
 
         w = loss.weights(values - s * np.outer(u, v), sigma)
         if selecting:
-            lam_v, trace_v = select_lambda(
-                grid,
-                lambda lam: gcv_v_with_trace(values, u, w, spec0.with_lambdas(lam_u, lam)),
-            )
+            # one eigendecomposition scores the whole grid; freed after the sweep
+            kernel = _ConditionalKernel(values, u, w, spec0.with_lambdas(lambda_u=lam_u))
+            lam_v, trace_v = select_lambda(grid, kernel.score)
+            del kernel
         v_new = update_v_given_u(values, u, w, spec0.with_lambdas(lam_u, lam_v))
         s_new = float(np.linalg.norm(v_new))
         if s_new == 0.0:
@@ -218,10 +218,9 @@ def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts:
 
         w = loss.weights(values - s * np.outer(u, v), sigma)
         if selecting:
-            lam_u, trace_u = select_lambda(
-                grid,
-                lambda lam: gcv_u_with_trace(values, v, w, spec0.with_lambdas(lam, lam_v)),
-            )
+            kernel = _ConditionalKernel.for_u(values, v, w, spec0.with_lambdas(lambda_v=lam_v))
+            lam_u, trace_u = select_lambda(grid, kernel.score)
+            del kernel
         u_new = update_u_given_v(values, v, w, spec0.with_lambdas(lam_u, lam_v))
         s_new = float(np.linalg.norm(u_new))
         if s_new == 0.0:

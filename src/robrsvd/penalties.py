@@ -121,8 +121,16 @@ class TwoWayPenaltySpec:
         if self.lambda_u < 0 or self.lambda_v < 0:
             raise ValueError("penalty parameters must be nonnegative")
 
+    def _derived(self, omega_u, omega_v, lambda_u, lambda_v) -> "TwoWayPenaltySpec":
+        # the matrices come from a validated spec, so only the lambdas are checked
+        if lambda_u < 0 or lambda_v < 0:
+            raise ValueError("penalty parameters must be nonnegative")
+        spec = object.__new__(TwoWayPenaltySpec)
+        spec.__dict__.update(omega_u=omega_u, omega_v=omega_v, lambda_u=lambda_u, lambda_v=lambda_v)
+        return spec
+
     def with_lambdas(self, lambda_u: float = None, lambda_v: float = None) -> "TwoWayPenaltySpec":
-        return TwoWayPenaltySpec(
+        return self._derived(
             self.omega_u,
             self.omega_v,
             self.lambda_u if lambda_u is None else lambda_u,
@@ -131,7 +139,7 @@ class TwoWayPenaltySpec:
 
     def swapped(self) -> "TwoWayPenaltySpec":
         """Rows-for-columns mirror; lets every v-side formula serve the u side."""
-        return TwoWayPenaltySpec(self.omega_v, self.omega_u, self.lambda_v, self.lambda_u)
+        return self._derived(self.omega_v, self.omega_u, self.lambda_v, self.lambda_u)
 
 
 def two_way_penalty(u: np.ndarray, v: np.ndarray, spec: TwoWayPenaltySpec) -> float:

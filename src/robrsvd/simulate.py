@@ -356,18 +356,12 @@ def run_benchmark(
                 "value": value,
             })
 
-    summary = []
-    seen = []
+    groups = {}  # first-seen key order, values in record order
     for rec in records:
         key = (rec["scenario"], rec["method"], rec["sigma2"], rec["metric"])
-        if key not in seen:
-            seen.append(key)
-    for scenario_name, method, sigma2, metric in seen:
-        vals = [
-            r["value"]
-            for r in records
-            if (r["scenario"], r["method"], r["sigma2"], r["metric"]) == (scenario_name, method, sigma2, metric)
-        ]
+        groups.setdefault(key, []).append(rec["value"])
+    summary = []
+    for (scenario_name, method, sigma2, metric), vals in groups.items():
         q1, med, q3 = np.percentile(vals, [25.0, 50.0, 75.0])
         summary.append({
             "scenario": scenario_name,

@@ -7,7 +7,9 @@ For fixed u, the weighted criterion in v has normal equations
 where U is the block-diagonal stack of u and Y the column-stacked data. The
 block structure collapses U'WU to the diagonal sum_i u_i^2 w_ij and U'WY to
 sum_i u_i w_ij x_ij, so no mn-sized matrix is ever materialized; the systems
-solved here are only n-by-n (or m-by-m for the mirrored update).
+solved here are only n-by-n (or m-by-m for the mirrored update). Each update
+is one Cholesky solve. Hat traces come from the GCV kernel in ``selection``,
+where a whole lambda sweep costs one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ __all__ = [
 
 
 class DegenerateSystemError(ValueError):
-    """A conditional update system is singular (zero weights, no penalty coupling)."""
+    """A conditional system is singular (zero weights, no penalty coupling) or its
+    penalty is not nonnegative definite."""
 
 
 def _as_weights(weights) -> np.ndarray:
@@ -94,25 +97,21 @@ def update_u_given_v(X, v: np.ndarray, weights, spec: TwoWayPenaltySpec) -> np.n
     return _solve_v(values.T, v, w.T, spec.swapped(), "row")
 
 
-def _trace_v(u, weights, spec: TwoWayPenaltySpec, side: str) -> float:
-    w = _as_weights(weights)
-    u = np.asarray(u, dtype=float)
-    d = (u * u) @ w
-    factor = _factor_conditional(d, conditional_penalty_v(u, spec), side)
-    inv = cho_solve(factor, np.eye(d.size), check_finite=False)
-    return float(np.sum(np.diagonal(inv) * d))
-
-
 def hat_trace_v(u: np.ndarray, weights, spec: TwoWayPenaltySpec) -> float:
     """Trace of the hat matrix of the v-update (its effective degrees of freedom).
 
     Uses tr(H) = tr((U'WU + 2 Omega_{v|u})^{-1} U'WU), an n-by-n computation;
     the mn-by-mn hat matrix itself is never formed. Equals n when both
-    penalty parameters are zero and shrinks as lambda_v grows.
+    penalty parameters are zero and shrinks as lambda_v grows. Raises
+    ValueError naming the columns whose total weight is zero.
     """
-    return _trace_v(u, weights, spec, "column")
+    from .selection import _ConditionalKernel  # selection imports this module
+
+    return _ConditionalKernel(None, u, weights, spec).trace(spec.lambda_v)
 
 
 def hat_trace_u(v: np.ndarray, weights, spec: TwoWayPenaltySpec) -> float:
     """Trace of the hat matrix of the u-update."""
-    return _trace_v(v, _as_weights(weights).T, spec.swapped(), "row")
+    from .selection import _ConditionalKernel
+
+    return _ConditionalKernel.for_u(None, v, weights, spec).trace(spec.lambda_u)

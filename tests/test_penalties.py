@@ -184,3 +184,16 @@ def test_spec_validation():
     asym[0, 1] += 1.0
     with pytest.raises(ValueError):
         TwoWayPenaltySpec(asym, omega)
+
+
+def test_derived_specs_reuse_validated_matrices_and_check_lambdas():
+    rng = np.random.default_rng(22)
+    spec = TwoWayPenaltySpec(random_psd(rng, 4), random_psd(rng, 3), 0.5, 0.25)
+    moved = spec.with_lambdas(lambda_v=2.0)
+    assert moved.omega_u is spec.omega_u and moved.omega_v is spec.omega_v
+    assert (moved.lambda_u, moved.lambda_v) == (0.5, 2.0)
+    mirrored = spec.swapped()
+    assert mirrored.omega_u is spec.omega_v and mirrored.omega_v is spec.omega_u
+    assert (mirrored.lambda_u, mirrored.lambda_v) == (0.25, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        spec.with_lambdas(lambda_u=-1.0)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.selection import (
+    _ConditionalKernel,
     GcvTrace,
     LambdaGrid,
     gcv_u,
@@ -11,8 +14,8 @@ from robrsvd.selection import (
     gcv_v_with_trace,
     select_lambda,
 )
-from robrsvd.updates import hat_trace_v, update_v_given_u
-from conftest import dense_gcv_v, mirror, random_psd
+from robrsvd.updates import DegenerateSystemError, hat_trace_v, update_v_given_u
+from conftest import dense_gcv_v, dense_systems_v, mirror, random_psd
 
 
 def spline_spec(m, n, lam_u=0.0, lam_v=0.0):
@@ -172,3 +175,91 @@ def test_shared_hat_trace_code_path():
     spec = spline_spec(5, 4, 0.1, 0.8)
     _, trace = gcv_v_with_trace(X, u, w, spec)
     assert trace == hat_trace_v(u, w, spec)
+
+
+def test_one_kernel_scores_the_whole_grid(small_suite):
+    # Criterion 2's measure, 1e-10 absolute below magnitude 1 and relative
+    # above, widened by the dense oracle's own first-order float64 rounding:
+    # eps * cond(A) for the trace, amplified in the score where the oracle
+    # subtracts nearly equal v_hat and b/d (small lambda) or trace and n.
+    eps = np.finfo(float).eps
+    grid = LambdaGrid.log_default()
+    for inst in small_suite:
+        xt, wt, sw = mirror(inst.values, inst.weights, inst.spec)
+        sides = (
+            (_ConditionalKernel(inst.values, inst.u, inst.weights, inst.spec),
+             (inst.values, inst.u, inst.weights, inst.spec)),
+            (_ConditionalKernel.for_u(inst.values, inst.v, inst.weights, inst.spec),
+             (xt, inst.v, wt, sw)),
+        )
+        for kernel, (X, u, w, spec) in sides:
+            n = X.shape[1]
+            for lam in grid:
+                cand = spec.with_lambdas(lambda_v=lam)
+                want, want_tr = dense_gcv_v(X, u, w, cand)
+                design, w_diag, a, rhs = dense_systems_v(X, u, w, cand)
+                rounding = 8.0 * eps * np.linalg.cond(a)
+                got, got_tr = kernel.score(lam)
+                assert kernel.trace(lam) == got_tr
+                assert abs(got_tr - want_tr) <= (1e-10 + rounding) * max(1.0, abs(want_tr))
+                if np.isinf(want):
+                    assert np.isinf(got)
+                    continue
+                v_hat = np.linalg.solve(a, rhs)
+                v_star = rhs / np.diag(design.T @ w_diag @ design)
+                amplify = 1.0 + np.linalg.norm(v_hat) / np.linalg.norm(v_hat - v_star) + n / (n - want_tr)
+                assert abs(got - want) <= (1e-10 + rounding * amplify) * max(1.0, abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    log_d=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+    rank=st.integers(0, 8),
+)
+def test_kernel_trace_nonincreasing_and_within_n(n, seed, log_d, rank):
+    rng = np.random.default_rng(seed)
+    d = 10.0 ** np.array(log_d[:n])
+    b = rng.standard_normal((min(rank, n), n))
+    omega = b.T @ b  # PSD, possibly singular
+    # one-row problem: with u = [1] the design diagonal is the weight row itself
+    spec = TwoWayPenaltySpec(np.zeros((1, 1)), (omega + omega.T) / 2.0)
+    kernel = _ConditionalKernel(rng.standard_normal((1, n)), np.ones(1), d[None, :], spec)
+    traces = np.array([kernel.trace(lam) for lam in np.logspace(-8, 8, 33)])
+    assert np.all(traces > 0.0)
+    assert np.all(traces <= n * (1.0 + 1e-12))  # n up to rounding
+    assert np.all(np.diff(traces) <= 1e-12 * n)
+
+
+def test_kernel_rejects_indefinite_penalty():
+    rng = np.random.default_rng(67)
+    X = rng.standard_normal((5, 4))
+    u = rng.standard_normal(5)
+    w = rng.uniform(0.5, 2.0, (5, 4))
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    omega_v = q @ np.diag([2.0, 1.0, 0.5, -0.1]) @ q.T
+    spec = TwoWayPenaltySpec(random_psd(rng, 5), omega_v, 0.0, 1.0)
+    with pytest.raises(DegenerateSystemError, match="not nonnegative definite"):
+        gcv_v(X, u, w, spec)
+
+
+def test_kernel_clips_rounding_level_negative_eigenvalues():
+    rng = np.random.default_rng(68)
+    X = rng.standard_normal((5, 4))
+    u = rng.standard_normal(5)
+    w = rng.uniform(0.5, 2.0, (5, 4))
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    omega_u = random_psd(rng, 5)
+
+    def kernel(smallest):
+        omega_v = q @ np.diag([3.0, 2.0, 1.0, smallest]) @ q.T
+        return _ConditionalKernel(X, u, w, TwoWayPenaltySpec(omega_u, omega_v))
+
+    clipped, exact = kernel(-1e-13), kernel(0.0)
+    for lam in (1.0, 1e4):
+        assert clipped.trace(lam) == pytest.approx(exact.trace(lam), rel=1e-9)
+    # unclipped, f = 1 / (1 + 2 alpha lam mu) would be negative here; clipped,
+    # the trace settles on the penalty's one-dimensional null space
+    assert clipped.trace(1e14) == pytest.approx(1.0, abs=1e-3)
+    assert np.isfinite(clipped.score(1e14)[0])

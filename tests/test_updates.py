@@ -186,3 +186,14 @@ def test_small_instance_suite_oracle_equivalence(small_suite):
         got_tr = hat_trace_v(inst.u, inst.weights, inst.spec)
         want_tr = dense_hat_trace_v(inst.values, inst.u, inst.weights, inst.spec)
         assert got_tr == pytest.approx(want_tr, rel=1e-10)
+
+
+def test_hat_trace_zero_weight_error_names_index():
+    rng = np.random.default_rng(52)
+    w = rng.uniform(0.5, 2.0, (4, 3))
+    w[:, 1] = 0.0  # column 1 has no weight, even though lambda_u couples it
+    spec = TwoWayPenaltySpec(random_psd(rng, 4), random_psd(rng, 3), 0.5, 0.5)
+    with pytest.raises(ValueError, match=r"zero total weight at index\(es\) \[1\]"):
+        hat_trace_v(rng.standard_normal(4), w, spec)
+    with pytest.raises(ValueError, match=r"zero total weight at index\(es\) \[1\]"):
+        hat_trace_u(rng.standard_normal(4), w.T, spec.swapped())
