@@ -19,23 +19,20 @@ import scipy
 
 from . import __version__
 from .dataio import MatrixFile, load, log_transform, save, save_json
-from .decompose import FitOptions, fit
+from .decompose import METHODS, FitOptions, fit
 from .imputation import _initial_fill
 from .robust import DEFAULT_THETA, RobustLossSpec, estimate_scale_mad
 from .selection import GcvTrace, LambdaGrid, _ConditionalKernel, select_lambda
 from .penalties import TwoWayPenaltySpec, build_roughness_penalty
 from .simulate import (
     SimScenario,
+    _fmt,
     run_benchmark,
     write_summary_csv,
     write_summary_json,
     CONTAMINATIONS,
 )
 from .splines import interpolate
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.16e}"
 
 
 # ---------------------------------------------------------------------------
@@ -70,22 +67,9 @@ def read_config_file(path) -> dict:
     return config
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Fill unset flags from the config file, then from the defaults table."""
-    config = read_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(config) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-    resolved = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in config:
-            resolved[key] = config[key]
-        else:
-            resolved[key] = default
-    return resolved
+def _options(args: argparse.Namespace) -> dict:
+    """A command's resolved options, as its manifest records them."""
+    return {k: v for k, v in vars(args).items() if k not in ("subcommand", "func", "config")}
 
 
 def write_manifest(out_dir, command: str, config: dict, filename: str = "manifest.json") -> None:
@@ -123,27 +107,6 @@ def _loss(cfg: dict) -> RobustLossSpec:
 # decompose
 
 
-DECOMPOSE_DEFAULTS = {
-    "input": None,
-    "format": "dense_csv",
-    "missing_token": ".",
-    "method": "robrsvd",
-    "rank": 1,
-    "theta": DEFAULT_THETA,
-    "sigma": "mad",
-    "lambda_min": 1e-6,
-    "lambda_max": 1e4,
-    "lambda_count": 20,
-    "tol": 1e-6,
-    "max_iter": 100,
-    "lambda_freeze_after": 5,
-    "log2_half": False,
-    "out": "decompose_out",
-    "output_format": "csv",
-    "spline_points": 200,
-}
-
-
 def _write_vector_csv(path, grid, values, grid_name: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -152,8 +115,7 @@ def _write_vector_csv(path, grid, values, grid_name: str) -> None:
             writer.writerow([repr(float(g)), _fmt(val)])
 
 
-def cmd_decompose(args) -> int:
-    cfg = _resolve(args, DECOMPOSE_DEFAULTS)
+def cmd_decompose(cfg: dict) -> int:
     if not cfg["input"]:
         raise ValueError("decompose needs an input file")
     os.makedirs(cfg["out"], exist_ok=True)
@@ -242,34 +204,13 @@ def cmd_decompose(args) -> int:
 # simulate
 
 
-SIMULATE_DEFAULTS = {
-    "scenario": "none,outlying_cells,outlying_rows,outlying_block,diagonal",
-    "rank": 1,
-    "rows": 100,
-    "cols": 100,
-    "sigma2": "1.0",
-    "methods": "svd,rsvd,robrsvd",
-    "replications": 20,
-    "seed": 0,
-    "threads": 1,
-    "mask_count": 0,
-    "theta": DEFAULT_THETA,
-    "lambda_min": 1e-6,
-    "lambda_max": 1e4,
-    "lambda_count": 20,
-    "out": "simulate_out",
-    "output_format": "csv",
-}
-
-
 def _split_list(text, cast=str) -> list:
     if isinstance(text, (int, float)):
         return [cast(text)]
     return [cast(part.strip()) for part in str(text).split(",") if part.strip()]
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve(args, SIMULATE_DEFAULTS)
+def cmd_simulate(cfg: dict) -> int:
     os.makedirs(cfg["out"], exist_ok=True)
 
     scenarios = [
@@ -278,9 +219,6 @@ def cmd_simulate(args) -> int:
         for kind in _split_list(cfg["scenario"])
         for var in _split_list(cfg["sigma2"], float)
     ]
-    for scenario in scenarios:
-        if scenario.contamination not in CONTAMINATIONS:
-            raise ValueError(f"unknown scenario {scenario.contamination!r}")
 
     result = run_benchmark(
         scenarios,
@@ -307,23 +245,8 @@ def cmd_simulate(args) -> int:
 # gcv-trace
 
 
-GCV_TRACE_DEFAULTS = {
-    "input": None,
-    "format": "dense_csv",
-    "missing_token": ".",
-    "trace": "v",
-    "theta": DEFAULT_THETA,
-    "sigma": "mad",
-    "lambda_min": 1e-6,
-    "lambda_max": 1e4,
-    "lambda_count": 20,
-    "out": "gcv_trace.csv",
-}
-
-
-def cmd_gcv_trace(args) -> int:
+def cmd_gcv_trace(cfg: dict) -> int:
     """One conditional GCV sweep from the SVD initialization of the input."""
-    cfg = _resolve(args, GCV_TRACE_DEFAULTS)
     if not cfg["input"]:
         raise ValueError("gcv-trace needs an input file")
     X = load(_matrix_file(cfg))
@@ -359,17 +282,7 @@ def cmd_gcv_trace(args) -> int:
 # transform
 
 
-TRANSFORM_DEFAULTS = {
-    "input": None,
-    "format": "dense_csv",
-    "missing_token": ".",
-    "log2_half": True,
-    "out": "transformed.csv",
-}
-
-
-def cmd_transform(args) -> int:
-    cfg = _resolve(args, TRANSFORM_DEFAULTS)
+def cmd_transform(cfg: dict) -> int:
     if not cfg["input"]:
         raise ValueError("transform needs an input file")
     X = load(_matrix_file(cfg))
@@ -383,7 +296,8 @@ def cmd_transform(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``robrsvd`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="robrsvd",
         description="Robust regularized SVD for two-way functional data",
@@ -391,81 +305,80 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="key = value file; explicit flags take precedence")
+    # options shared by several subcommands, each declared once
+    matrix = argparse.ArgumentParser(add_help=False)
+    matrix.add_argument("input", nargs="?", help="matrix file")
+    matrix.add_argument("--format", choices=["dense_csv", "hmd_triplet"], default="dense_csv")
+    matrix.add_argument("--missing-token", default=".")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--theta", type=float, default=DEFAULT_THETA,
+                      help="robustness threshold (inf for squared loss)")
+    grid.add_argument("--lambda-min", type=float, default=1e-6)
+    grid.add_argument("--lambda-max", type=float, default=1e4)
+    grid.add_argument("--lambda-count", type=int, default=20)
+    sigma = argparse.ArgumentParser(add_help=False)
+    sigma.add_argument("--sigma", default="mad", help="'mad' or a positive number")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="key = value file; explicit flags take precedence")
 
-    p = sub.add_parser("decompose", help="fit a sequential low-rank decomposition of a matrix file")
-    p.add_argument("input", nargs="?", help="matrix file")
-    p.add_argument("--format", choices=["dense_csv", "hmd_triplet"])
-    p.add_argument("--missing-token", dest="missing_token")
-    p.add_argument("--method", choices=["svd", "rsvd", "robrsvd"])
-    p.add_argument("--rank", type=int)
-    p.add_argument("--theta", type=float, help="robustness threshold (inf for squared loss)")
-    p.add_argument("--sigma", help="'mad' or a positive number")
-    p.add_argument("--lambda-min", dest="lambda_min", type=float)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float)
-    p.add_argument("--lambda-count", dest="lambda_count", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--lambda-freeze-after", dest="lambda_freeze_after", type=int)
-    p.add_argument("--log2-half", dest="log2_half", action="store_const", const=True,
+    p = sub.add_parser("decompose", parents=[matrix, grid, sigma, config],
+                       help="fit a sequential low-rank decomposition of a matrix file")
+    p.add_argument("--method", choices=METHODS, default="robrsvd")
+    p.add_argument("--rank", type=int, default=1)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--lambda-freeze-after", type=int, default=5)
+    p.add_argument("--log2-half", action="store_const", const=True, default=False,
                    help="apply log2(x + 1/2) before fitting")
-    p.add_argument("--out")
-    p.add_argument("--output-format", dest="output_format", choices=["csv", "json"])
-    p.add_argument("--spline-points", dest="spline_points", type=int)
-    add_common(p)
+    p.add_argument("--out", default="decompose_out")
+    p.add_argument("--output-format", choices=["csv", "json"], default="csv")
+    p.add_argument("--spline-points", type=int, default=200)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("simulate", help="run the seeded simulation benchmark")
-    p.add_argument("--scenario", help="comma list of " + ",".join(CONTAMINATIONS))
-    p.add_argument("--rank", type=int)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
-    p.add_argument("--sigma2", help="comma list of noise variances")
-    p.add_argument("--methods", help="comma list of svd,rsvd,robrsvd")
-    p.add_argument("--replications", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--mask-count", dest="mask_count", type=int)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--lambda-min", dest="lambda_min", type=float)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float)
-    p.add_argument("--lambda-count", dest="lambda_count", type=int)
-    p.add_argument("--out")
-    p.add_argument("--output-format", dest="output_format", choices=["csv", "json", "both"])
-    add_common(p)
+    p = sub.add_parser("simulate", parents=[grid, config], help="run the seeded simulation benchmark")
+    p.add_argument("--scenario", default=",".join(CONTAMINATIONS),
+                   help="comma list of " + ",".join(CONTAMINATIONS))
+    p.add_argument("--rank", type=int, default=1)
+    p.add_argument("--rows", type=int, default=100)
+    p.add_argument("--cols", type=int, default=100)
+    p.add_argument("--sigma2", default="1.0", help="comma list of noise variances")
+    p.add_argument("--methods", default=",".join(METHODS), help="comma list of " + ",".join(METHODS))
+    p.add_argument("--replications", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--mask-count", type=int, default=0)
+    p.add_argument("--out", default="simulate_out")
+    p.add_argument("--output-format", choices=["csv", "json", "both"], default="csv")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("gcv-trace", help="GCV scores over a lambda grid for one conditional step")
-    p.add_argument("input", nargs="?")
-    p.add_argument("--format", choices=["dense_csv", "hmd_triplet"])
-    p.add_argument("--missing-token", dest="missing_token")
-    p.add_argument("--trace", choices=["u", "v"], help="which side's lambda to sweep")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--sigma")
-    p.add_argument("--lambda-min", dest="lambda_min", type=float)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float)
-    p.add_argument("--lambda-count", dest="lambda_count", type=int)
-    p.add_argument("--out")
-    add_common(p)
+    p = sub.add_parser("gcv-trace", parents=[matrix, grid, sigma, config],
+                       help="GCV scores over a lambda grid for one conditional step")
+    p.add_argument("--trace", choices=["u", "v"], default="v", help="which side's lambda to sweep")
+    p.add_argument("--out", default="gcv_trace.csv")
     p.set_defaults(func=cmd_gcv_trace)
 
-    p = sub.add_parser("transform", help="apply the log2(x + 1/2) transform to a matrix file")
-    p.add_argument("input", nargs="?")
-    p.add_argument("--format", choices=["dense_csv", "hmd_triplet"])
-    p.add_argument("--missing-token", dest="missing_token")
-    p.add_argument("--log2-half", dest="log2_half", action="store_const", const=True)
-    p.add_argument("--out")
-    add_common(p)
+    p = sub.add_parser("transform", parents=[matrix, config],
+                       help="apply the log2(x + 1/2) transform to a matrix file")
+    p.add_argument("--log2-half", action="store_const", const=True, default=True)
+    p.add_argument("--out", default="transformed.csv")
     p.set_defaults(func=cmd_transform)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.config:
+            # file entries become the subcommand's defaults, so flags still win
+            config = read_config_file(args.config)
+            unknown = set(config) - set(_options(args))
+            if unknown:
+                raise ValueError(f"unknown config key(s): {sorted(unknown)}")
+            commands[args.subcommand].set_defaults(**config)
+            args = parser.parse_args(argv)
+        return args.func(_options(args))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,9 +21,10 @@ from .matrices import ObservedMatrix, ResidualMatrix
 from .penalties import TwoWayPenaltySpec, build_roughness_penalty, second_difference_penalty, two_way_penalty
 from .robust import RobustLossSpec, estimate_scale_mad, huber_rho, squared_loss_spec
 from .selection import LambdaGrid, _ConditionalKernel, select_lambda
-from .updates import hat_trace_u, hat_trace_v, update_u_given_v, update_v_given_u
+from .updates import update_u_given_v, update_v_given_u
 
 __all__ = [
+    "METHODS",
     "ComponentPair",
     "Decomposition",
     "FitOptions",
@@ -32,11 +33,10 @@ __all__ = [
     "fit_rank_one_rsvd",
     "fit_rank_one_robrsvd",
     "huber_objective",
-    "hat_trace_u",
-    "hat_trace_v",
-    "update_u_given_v",
-    "update_v_given_u",
 ]
+
+# plain SVD, squared-loss regularized SVD, Huber-loss regularized SVD
+METHODS = ("svd", "rsvd", "robrsvd")
 
 
 @dataclass(frozen=True)
@@ -290,11 +290,7 @@ def fit_rank_one_rsvd(
     Identical loop with the weights pinned at 2, i.e. a Huber loss with an
     infinite threshold.
     """
-    X = _as_observed(X)
-    _require_complete(X, "fit_rank_one_rsvd")
-    grid = LambdaGrid.log_default() if penalty_grid is None else penalty_grid
-    opts = FitOptions() if opts is None else opts
-    return _irls_rank_one(X.values, _build_omegas(X, omegas, penalty), squared_loss_spec(), grid, opts)
+    return fit_rank_one_robrsvd(X, squared_loss_spec(), penalty_grid, opts, omegas, penalty)
 
 
 def fit_rank_one_svd(X, tol: float = 1e-15, max_iter: int = 5000) -> ComponentPair:
@@ -358,20 +354,19 @@ def fit_rank_one_svd(X, tol: float = 1e-15, max_iter: int = 5000) -> ComponentPa
     )
 
 
-_RANK_ONE_FITTERS = {
-    "svd": lambda X, loss, grid, opts, omegas: fit_rank_one_svd(X),
-    "rsvd": lambda X, loss, grid, opts, omegas: fit_rank_one_rsvd(X, grid, opts, omegas=omegas),
-    "robrsvd": lambda X, loss, grid, opts, omegas: fit_rank_one_robrsvd(X, loss, grid, opts, omegas=omegas),
-}
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
 
 
 def rank_one_fit(X, method: str, loss=None, penalty_grid=None, opts=None, omegas=None) -> ComponentPair:
-    """Dispatch a rank-one fit by method name ('svd', 'rsvd', 'robrsvd')."""
-    try:
-        fitter = _RANK_ONE_FITTERS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; expected svd, rsvd, or robrsvd") from None
-    return fitter(X, loss, penalty_grid, opts, omegas)
+    """Dispatch a rank-one fit by method name, one of ``METHODS``."""
+    _check_method(method)
+    if method == "svd":
+        return fit_rank_one_svd(X)
+    if method == "rsvd":
+        return fit_rank_one_rsvd(X, penalty_grid, opts, omegas)
+    return fit_rank_one_robrsvd(X, loss, penalty_grid, opts, omegas)
 
 
 def fit(
@@ -397,8 +392,7 @@ def fit(
     m, n = X.shape
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank must be between 1 and {min(m, n)}, got {rank}")
-    if method not in _RANK_ONE_FITTERS:
-        raise ValueError(f"unknown method {method!r}; expected svd, rsvd, or robrsvd")
+    _check_method(method)
     omegas = None if method == "svd" else _build_omegas(X, None, penalty)
     imputation = ImputationOptions() if imputation is None else imputation
 

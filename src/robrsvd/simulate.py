@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decompose import FitOptions, fit
+from .decompose import METHODS, FitOptions, fit
 from .matrices import ObservedMatrix
 from .robust import RobustLossSpec
 from .selection import LambdaGrid
@@ -297,7 +297,7 @@ def _one_replication(scenario, scenario_index, method, replication, base_seed,
 
 def run_benchmark(
     scenarios,
-    methods=("svd", "rsvd", "robrsvd"),
+    methods=METHODS,
     replications: int = 20,
     base_seed: int = 0,
     threads: int = 1,
@@ -317,6 +317,9 @@ def run_benchmark(
         raise ValueError("replications must be at least 1")
     scenarios = list(scenarios)
     methods = list(methods)
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown method(s) {unknown}; expected one of {', '.join(METHODS)}")
 
     jobs = [
         (si, scenario, method, rep)

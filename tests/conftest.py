@@ -6,6 +6,14 @@ the block-collapsed formulas used by the library. Any agreement between the
 two routes is therefore evidence, not tautology.
 """
 
+import os
+
+# One BLAS thread unless the caller set a count: the suite's dense solves are
+# too small to gain from more, and extra threads only oversubscribe the cores.
+# This must run before numpy is first imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from robrsvd import cli
 from robrsvd.cli import main, read_config_file
 from robrsvd.dataio import MatrixFile, load, save
 from robrsvd.matrices import ObservedMatrix
-from robrsvd.simulate import SimScenario, generate, mask_random
+from robrsvd.simulate import BenchmarkResult, SimScenario, generate, mask_random
 from conftest import dense_gcv_v
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import estimate_scale_mad, huber_weight
@@ -109,6 +110,14 @@ def test_simulate_rejects_unknown_scenario(tmp_path):
     assert rc == 1
 
 
+def test_simulate_rejects_unknown_method(tmp_path):
+    out = tmp_path / "x"
+    rc = main(["simulate", "--scenario", "none", "--rows", "12", "--cols", "12",
+               "--replications", "1", "--methods", "bogus,svd", "--out", str(out)])
+    assert rc == 1
+    assert not (out / "summary.csv").exists()
+
+
 def test_gcv_trace_single_point_grid(tmp_path):
     path, _ = contaminated_fixture(tmp_path)
     out = tmp_path / "trace.csv"
@@ -203,3 +212,70 @@ def test_read_config_file_parsing(tmp_path):
 def test_nonzero_exit_on_missing_file(tmp_path):
     rc = main(["decompose", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o")])
     assert rc == 1
+
+
+MATRIX_OPTIONS = {"format": "dense_csv", "missing_token": "."}
+GRID_OPTIONS = {"theta": 1.345, "lambda_min": 1e-6, "lambda_max": 1e4, "lambda_count": 20}
+
+
+def test_manifests_record_every_default(tmp_path, monkeypatch):
+    path, _ = contaminated_fixture(tmp_path)
+    positive = str(tmp_path / "pos.csv")  # the log transform needs nonnegative input
+    (tmp_path / "pos.csv").write_text("r,0,1\n0,1.0,0.5\n1,3.5,.\n")
+    monkeypatch.chdir(tmp_path)
+    # the default simulate run is the full 100x100 benchmark; only its
+    # resolved configuration is under test here
+    calls = []
+    monkeypatch.setattr(cli, "run_benchmark",
+                        lambda *a, **kw: calls.append(kw) or BenchmarkResult((), (), ()))
+    runs = {
+        "decompose": (["decompose", path], "decompose_out/manifest.json", dict(
+            MATRIX_OPTIONS, **GRID_OPTIONS, input=path, method="robrsvd", rank=1, sigma="mad",
+            tol=1e-6, max_iter=100, lambda_freeze_after=5, log2_half=False, out="decompose_out",
+            output_format="csv", spline_points=200)),
+        "simulate": (["simulate"], "simulate_out/manifest.json", dict(
+            GRID_OPTIONS, scenario="none,outlying_cells,outlying_rows,outlying_block,diagonal",
+            rank=1, rows=100, cols=100, sigma2="1.0", methods="svd,rsvd,robrsvd", replications=20,
+            seed=0, threads=1, mask_count=0, out="simulate_out", output_format="csv")),
+        "gcv-trace": (["gcv-trace", path], "gcv_trace.csv.manifest.json", dict(
+            MATRIX_OPTIONS, **GRID_OPTIONS, input=path, trace="v", sigma="mad",
+            out="gcv_trace.csv")),
+        "transform": (["transform", positive], "transformed.csv.manifest.json", dict(
+            MATRIX_OPTIONS, input=positive, log2_half=True, out="transformed.csv")),
+    }
+    assert [len(cfg) for _, _, cfg in runs.values()] == [17, 16, 10, 5]
+    for command, (argv, manifest_path, cfg) in runs.items():
+        assert main(argv) == 0, command
+        manifest = json.loads((tmp_path / manifest_path).read_text())
+        assert manifest["command"] == command
+        assert manifest["config"] == cfg, command
+    assert calls[0]["methods"] == ["svd", "rsvd", "robrsvd"]
+
+
+def test_config_file_precedence_for_shared_options(tmp_path):
+    path, _ = contaminated_fixture(tmp_path)
+    config = tmp_path / "grid.cfg"
+    config.write_text("lambda-count = 3\ntheta = 2.5\n")
+    out = tmp_path / "trace.csv"
+    rc = main(["gcv-trace", path, "--config", str(config), "--theta", "1.5", "--out", str(out)])
+    assert rc == 0
+    cfg = json.loads((tmp_path / "trace.csv.manifest.json").read_text())["config"]
+    assert cfg["theta"] == 1.5  # flag beats file
+    assert cfg["lambda_count"] == 3  # file beats default
+    assert cfg["lambda_min"] == 1e-6  # default
+    assert len(list(csv.reader(out.open()))) == 1 + 3
+
+
+def test_transform_config_can_switch_log_off(tmp_path):
+    src = tmp_path / "raw.csv"
+    src.write_text("r,0,1\n0,0.0,0.5\n1,3.5,.\n")
+    config = tmp_path / "t.cfg"
+    config.write_text("log2_half = false\n")
+    out = tmp_path / "same.csv"
+    assert main(["transform", str(src), "--config", str(config), "--out", str(out)]) == 0
+    X = load(MatrixFile(str(out)))
+    assert X.values[0, 1] == 0.5
+    assert X.values[1, 0] == 3.5
+    assert not X.mask[1, 1]
+    cfg = json.loads((tmp_path / "same.csv.manifest.json").read_text())["config"]
+    assert cfg["log2_half"] is False

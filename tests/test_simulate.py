@@ -196,6 +196,17 @@ def test_benchmark_records_failures_without_aborting():
     assert any(r["scenario"] == "none" for r in res.summary)
 
 
+def test_benchmark_rejects_unknown_methods_before_any_replication(monkeypatch):
+    import robrsvd.simulate as simulate
+
+    ran = []
+    monkeypatch.setattr(simulate, "_one_replication", lambda *args: ran.append(args))
+    scen = SimScenario(grid_size=(12, 12), noise_variance=0.0, contamination="none")
+    with pytest.raises(ValueError, match=r"\['bogus', 'qr'\]"):
+        run_benchmark([scen], methods=("bogus", "svd", "qr"), replications=2, base_seed=0)
+    assert ran == []
+
+
 def test_summary_csv_schema(tmp_path):
     scen = SimScenario(grid_size=(12, 12), noise_variance=0.2, contamination="none")
     res = run_benchmark([scen], methods=("svd",), replications=2, base_seed=5)
