@@ -9,8 +9,9 @@ chosen lambda minimizes the score over the grid.
 import numpy as np
 
 from robrsvd import LambdaGrid, select_lambda
+from robrsvd.decompose import _start
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
-from robrsvd.robust import estimate_scale_mad, huber_weight
+from robrsvd.robust import RobustLossSpec
 from robrsvd.selection import _ConditionalKernel
 from robrsvd.simulate import SimScenario, generate
 
@@ -18,12 +19,11 @@ result = generate(SimScenario(grid_size=(50, 50), noise_variance=1.0,
                               contamination="outlying_cells", seed=3))
 X = result.data
 
-# initialize from the plain SVD, as the full algorithm does
-u_mat, s_vec, vt = np.linalg.svd(X.values, full_matrices=False)
-s, u = float(s_vec[0]), u_mat[:, 0]
-residuals = X.values - s * np.outer(u, vt[0])
-sigma = estimate_scale_mad(residuals)
-weights = huber_weight(residuals / sigma)
+# start where the full algorithm starts: the leading SVD triple and the MAD
+# scale of its residuals
+loss = RobustLossSpec()
+s, u, v, sigma = _start(X.values, loss)
+weights = loss.weights(X.values - s * np.outer(u, v), sigma)
 print(f"SVD initialization: s = {s:.1f}, MAD residual scale = {sigma:.3f}")
 
 spec = TwoWayPenaltySpec(build_roughness_penalty(X.row_grid),

@@ -19,9 +19,9 @@ import scipy
 
 from . import __version__
 from .dataio import MatrixFile, load, log_transform, save, save_json
-from .decompose import METHODS, FitOptions, fit
-from .imputation import _initial_fill
-from .robust import DEFAULT_THETA, RobustLossSpec, estimate_scale_mad
+from .decompose import METHODS, FitOptions, _start, fit
+from .imputation import ImputationOptions, _initial_fill
+from .robust import DEFAULT_THETA, RobustLossSpec
 from .selection import GcvTrace, LambdaGrid, _ConditionalKernel, select_lambda
 from .penalties import TwoWayPenaltySpec, build_roughness_penalty
 from .simulate import (
@@ -246,33 +246,29 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_gcv_trace(cfg: dict) -> int:
-    """One conditional GCV sweep from the SVD initialization of the input."""
+    """The GCV curve of decompose's first v-sweep, or of a u-sweep at its start.
+
+    The sweep sees what the first IRLS step of ``decompose`` sees: the input
+    with its missing cells filled as in the first imputation round, the fit's
+    start (leading SVD triple and residual scale) and the loss weights of
+    every cell. ``--trace u`` sweeps u at that same start, whereas decompose's
+    first u-sweep comes after the v half-step.
+    """
     if not cfg["input"]:
         raise ValueError("gcv-trace needs an input file")
     X = load(_matrix_file(cfg))
-
-    filled = X.values if X.is_complete else _initial_fill(X, "row_mean")
-    u_mat, s_vec, vt = np.linalg.svd(filled, full_matrices=False)
-    s, u, v = float(s_vec[0]), u_mat[:, 0], vt[0]
-
-    residuals = np.where(X.mask, X.values - s * np.outer(u, v), 0.0)
-    if cfg["sigma"] == "mad":
-        sigma = estimate_scale_mad(residuals[X.mask])
-    else:
-        sigma = float(cfg["sigma"])
-    loss = RobustLossSpec(theta=cfg["theta"], sigma=sigma, sigma_source="fixed")
-    weights = np.where(X.mask, loss.weights(residuals, sigma), 0.0)
+    values = _initial_fill(X, ImputationOptions().init)
+    loss = _loss(cfg)
+    s, u, v, sigma = _start(values, loss)
+    weights = loss.weights(values - s * np.outer(u, v), sigma)
 
     # both smoothing parameters start at 0, so the other side is unpenalized
     spec = TwoWayPenaltySpec(build_roughness_penalty(X.row_grid), build_roughness_penalty(X.col_grid))
-    grid = _lambda_grid(cfg)
     if cfg["trace"] == "v":
-        kernel = _ConditionalKernel(X, u, weights, spec)
-    elif cfg["trace"] == "u":
-        kernel = _ConditionalKernel.for_u(X, v, weights, spec)
+        kernel = _ConditionalKernel(values, u, weights, spec)
     else:
-        raise ValueError("trace must be 'u' or 'v'")
-    _, trace = select_lambda(grid, kernel.score)
+        kernel = _ConditionalKernel.for_u(values, v, weights, spec)
+    _, trace = select_lambda(_lambda_grid(cfg), kernel.score)
     trace.write_csv(cfg["out"])
     write_manifest(None, "gcv-trace", cfg, filename=cfg["out"] + ".manifest.json")
     return 0
@@ -376,7 +372,15 @@ def main(argv=None) -> int:
             unknown = set(config) - set(_options(args))
             if unknown:
                 raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-            commands[args.subcommand].set_defaults(**config)
+            command = commands[args.subcommand]
+            # argparse checks choices on the command line only, not on defaults
+            for action in command._actions:
+                if action.dest in config:
+                    try:
+                        command._check_value(action, config[action.dest])
+                    except argparse.ArgumentError as exc:
+                        command.error(str(exc))
+            command.set_defaults(**config)
             args = parser.parse_args(argv)
         return args.func(_options(args))
     except Exception as exc:

@@ -135,14 +135,16 @@ def _leading_triple(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return float(s_vec[0]), u, v
 
 
-def _resolve_sigma(loss: RobustLossSpec, values: np.ndarray, s: float, u: np.ndarray, v: np.ndarray) -> float:
+def _start(values: np.ndarray, loss: RobustLossSpec) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Where every fit starts: the leading SVD triple and the residual scale sigma."""
+    s, u, v = _leading_triple(values)
     if loss.sigma_source == "fixed":
-        return float(loss.sigma)
+        return s, u, v, float(loss.sigma)
     try:
-        return estimate_scale_mad(values - s * np.outer(u, v))
+        return s, u, v, estimate_scale_mad(values - s * np.outer(u, v))
     except ValueError:
         if np.isinf(loss.theta):
-            return 1.0  # squared loss: the scale cancels from every update
+            return s, u, v, 1.0  # squared loss: the scale cancels from every update
         raise
 
 
@@ -171,8 +173,7 @@ def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts:
     omega_u, omega_v = omegas
     spec0 = TwoWayPenaltySpec(omega_u, omega_v)
 
-    s, u, v = _leading_triple(values)
-    sigma = _resolve_sigma(loss, values, s, u, v)
+    s, u, v, sigma = _start(values, loss)
     theta = float(loss.theta)
 
     selecting_possible = len(grid) > 1
@@ -293,65 +294,18 @@ def fit_rank_one_rsvd(
     return fit_rank_one_robrsvd(X, squared_loss_spec(), penalty_grid, opts, omegas, penalty)
 
 
-def fit_rank_one_svd(X, tol: float = 1e-15, max_iter: int = 5000) -> ComponentPair:
-    """Best rank-one approximation in the Frobenius norm, by power iteration.
+def fit_rank_one_svd(X) -> ComponentPair:
+    """Best rank-one approximation in the Frobenius norm: the leading SVD triple.
 
-    Deterministic seeded start; the plain unpenalized, unweighted baseline.
+    The plain unpenalized, unweighted baseline, computed by LAPACK; it is the
+    same triple every IRLS fit starts from. A zero matrix gives s = 0 with
+    the first unit vectors.
     """
     X = _as_observed(X)
     _require_complete(X, "fit_rank_one_svd")
-    values = X.values
-    m, n = values.shape
-
-    if not values.any():
-        u = np.zeros(m)
-        v = np.zeros(n)
-        u[0] = v[0] = 1.0
-        return ComponentPair(s=0.0, u=u, v=v, iterations=0, final_objective=0.0,
-                             converged=True, history={"method": "power_iteration"})
-
-    rng = np.random.default_rng(1815)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    u = np.zeros(m)
-    s = 0.0
-    iterations = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        iterations = it
-        xv = values @ v
-        nu = float(np.linalg.norm(xv))
-        if nu == 0.0:
-            # iterate landed exactly in the null space; redraw and continue
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        u = xv / nu
-        v_new = values.T @ u
-        s = float(np.linalg.norm(v_new))
-        v_new = v_new / s
-        if v_new @ v < 0:
-            v_new = -v_new
-        delta = float(np.linalg.norm(v_new - v))
-        v = v_new
-        if delta <= tol:
-            converged = True
-            break
-    # one last half-step so u matches the final v exactly
-    xv = values @ v
-    s = float(np.linalg.norm(xv))
-    if s > 0.0:
-        u = xv / s
-    u, v = _sign_fix(u, v)
-    return ComponentPair(
-        s=s,
-        u=u,
-        v=v,
-        iterations=iterations,
-        final_objective=float(np.sum((values - s * np.outer(u, v)) ** 2)),
-        converged=converged,
-        history={"method": "power_iteration"},
-    )
+    s, u, v = _leading_triple(X.values)
+    return ComponentPair(s=s, u=u, v=v, iterations=0, converged=True,
+                         final_objective=float(np.sum((X.values - s * np.outer(u, v)) ** 2)))
 
 
 def _check_method(method: str) -> None:

@@ -7,6 +7,8 @@ import pytest
 from robrsvd import cli
 from robrsvd.cli import main, read_config_file
 from robrsvd.dataio import MatrixFile, load, save
+from robrsvd.decompose import FitOptions, fit
+from robrsvd.imputation import ImputationOptions
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.simulate import BenchmarkResult, SimScenario, generate, mask_random
 from conftest import dense_gcv_v
@@ -157,6 +159,26 @@ def test_gcv_trace_matches_dense_oracle_on_tiny_instance(tmp_path):
         assert float(trace_text) == pytest.approx(want_tr, rel=1e-9)
 
 
+@pytest.mark.parametrize("masked", [False, True])
+def test_gcv_trace_matches_first_v_sweep_of_decompose(tmp_path, masked):
+    res = generate(SimScenario(grid_size=(30, 25), contamination="outlying_rows", seed=4))
+    if masked:
+        res = mask_random(res, 60, seed=4)
+    path = str(tmp_path / "input.csv")
+    save(res.data, MatrixFile(path))
+    out = tmp_path / "trace.csv"
+    assert main(["gcv-trace", path, "--trace", "v", "--out", str(out)]) == 0
+
+    X = load(MatrixFile(path))
+    decomp = fit(X, rank=1, opts=FitOptions(max_iter=1), imputation=ImputationOptions(max_rounds=1))
+    want = decomp.components[0].history["gcv_trace_v"].records
+    rows = list(csv.reader(out.open()))[1:]
+    assert [float(r[0]) for r in rows] == [rec.lam for rec in want]
+    assert [r[3] == "1" for r in rows] == [rec.chosen for rec in want]
+    np.testing.assert_allclose([float(r[1]) for r in rows], [rec.score for rec in want], rtol=1e-12)
+    np.testing.assert_allclose([float(r[2]) for r in rows], [rec.hat_trace for rec in want], rtol=1e-12)
+
+
 def test_transform_through_file_interface(tmp_path):
     src = tmp_path / "raw.csv"
     src.write_text("r,0,1\n0,0.0,0.5\n1,3.5,.\n")
@@ -279,3 +301,19 @@ def test_transform_config_can_switch_log_off(tmp_path):
     assert not X.mask[1, 1]
     cfg = json.loads((tmp_path / "same.csv.manifest.json").read_text())["config"]
     assert cfg["log2_half"] is False
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["simulate"], "output_format = xml"),
+    (["decompose", "diag.csv"], "method = bogus"),
+    (["decompose", "diag.csv"], "output_format = xml"),
+    (["gcv-trace", "diag.csv"], "trace = w"),
+])
+def test_config_value_outside_choices_rejected(tmp_path, monkeypatch, argv, entry):
+    write_diag_csv(tmp_path)
+    (tmp_path / "bad.cfg").write_text(entry + "\n")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", "bad.cfg"])
+    assert exc.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "diag.csv"]

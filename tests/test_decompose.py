@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robrsvd.decompose import (
     FitOptions,
@@ -113,6 +115,48 @@ def test_svd_fitter_exact_rank_one():
     v0 = rng.standard_normal(5)
     pair = fit_rank_one_svd(np.outer(u0, v0))
     assert pair.s == pytest.approx(np.linalg.norm(u0) * np.linalg.norm(v0), rel=1e-12)
+
+
+def random_matrix(m, n, seed):
+    return np.random.default_rng(seed).standard_normal((m, n))
+
+
+def leading_gap(X):
+    s_vec = np.linalg.svd(X, compute_uv=False)
+    return s_vec[0] > (1 + 1e-6) * s_vec[1]  # below that the vectors are not unique
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.integers(2, 12), n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       c=st.floats(1e-3, 1e3))
+def test_svd_fitter_scales_with_input(m, n, seed, c):
+    X = random_matrix(m, n, seed)
+    pair, scaled = fit_rank_one_svd(X), fit_rank_one_svd(c * X)
+    assert scaled.s == pytest.approx(c * pair.s, rel=1e-12)
+    if leading_gap(X):
+        np.testing.assert_allclose(scaled.u, pair.u, atol=1e-8)
+        np.testing.assert_allclose(scaled.v, pair.v, atol=1e-8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.integers(2, 12), n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_svd_fitter_transpose_swaps_vectors(m, n, seed):
+    X = random_matrix(m, n, seed)
+    pair, flipped = fit_rank_one_svd(X), fit_rank_one_svd(X.T)
+    assert flipped.s == pytest.approx(pair.s, rel=1e-12)
+    if leading_gap(X):
+        sign = np.sign(flipped.u @ pair.v)  # the sign fix acts on v, which becomes u
+        np.testing.assert_allclose(flipped.u, sign * pair.v, atol=1e-8)
+        np.testing.assert_allclose(flipped.v, sign * pair.u, atol=1e-8)
+
+
+@given(m=st.integers(2, 12), n=st.integers(2, 12))
+def test_svd_fitter_on_zero_matrix(m, n):
+    pair = fit_rank_one_svd(np.zeros((m, n)))
+    assert pair.s == 0.0
+    assert np.linalg.norm(pair.u) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(pair.v) == pytest.approx(1.0, abs=1e-12)
+    assert pair.converged
 
 
 def test_unit_norms_and_sign_convention():
