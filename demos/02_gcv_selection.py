@@ -8,11 +8,10 @@ chosen lambda minimizes the score over the grid.
 
 import numpy as np
 
-from robrsvd import LambdaGrid, select_lambda
-from robrsvd.decompose import _start
+from robrsvd import ConditionalKernel, LambdaGrid, select_lambda
+from robrsvd.decompose import fit_start
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import RobustLossSpec
-from robrsvd.selection import _ConditionalKernel
 from robrsvd.simulate import SimScenario, generate
 
 result = generate(SimScenario(grid_size=(50, 50), noise_variance=1.0,
@@ -22,7 +21,7 @@ X = result.data
 # start where the full algorithm starts: the leading SVD triple and the MAD
 # scale of its residuals
 loss = RobustLossSpec()
-s, u, v, sigma = _start(X.values, loss)
+s, u, v, sigma = fit_start(X.values, loss)
 weights = loss.weights(X.values - s * np.outer(u, v), sigma)
 print(f"SVD initialization: s = {s:.1f}, MAD residual scale = {sigma:.3f}")
 
@@ -30,7 +29,7 @@ spec = TwoWayPenaltySpec(build_roughness_penalty(X.row_grid),
                          build_roughness_penalty(X.col_grid))
 # one eigendecomposition of the weighted penalty serves every candidate: in
 # that basis the penalized update is diagonal in lambda
-kernel = _ConditionalKernel(X, u, weights, spec)
+kernel = ConditionalKernel(X, u, weights, spec)
 grid = LambdaGrid.log_default(1e-8, 1e2, 15)
 chosen, trace = select_lambda(grid, kernel.score)
 

@@ -8,7 +8,7 @@ parameters. Missing cells are handled by iterative imputation, and plain
 SVD and squared-loss regularized SVD baselines are included for comparison.
 """
 
-from .matrices import ObservedMatrix, ResidualMatrix, WeightMatrix, residual
+from .matrices import ObservedMatrix, ResidualMatrix, residual
 from .robust import (
     DEFAULT_THETA,
     RobustLossSpec,
@@ -21,20 +21,16 @@ from .robust import (
 from .penalties import (
     TwoWayPenaltySpec,
     build_roughness_penalty,
-    conditional_penalty_u,
     conditional_penalty_v,
-    second_difference_penalty,
     two_way_penalty,
 )
 from .splines import SplineFunction, evaluate, interpolate
 from .updates import (
     DegenerateSystemError,
-    hat_trace_u,
-    hat_trace_v,
     update_u_given_v,
     update_v_given_u,
 )
-from .selection import GcvRecord, GcvTrace, LambdaGrid, gcv_u, gcv_v, select_lambda
+from .selection import ConditionalKernel, GcvRecord, GcvTrace, LambdaGrid, select_lambda
 from .decompose import (
     ComponentPair,
     Decomposition,
@@ -74,15 +70,15 @@ from .dataio import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ObservedMatrix", "ResidualMatrix", "WeightMatrix", "residual",
+    "ObservedMatrix", "ResidualMatrix", "residual",
     "DEFAULT_THETA", "RobustLossSpec", "estimate_scale_mad",
     "huber_psi", "huber_rho", "huber_weight", "squared_loss_spec",
-    "TwoWayPenaltySpec", "build_roughness_penalty", "second_difference_penalty",
-    "two_way_penalty", "conditional_penalty_u", "conditional_penalty_v",
+    "TwoWayPenaltySpec", "build_roughness_penalty",
+    "two_way_penalty", "conditional_penalty_v",
     "SplineFunction", "evaluate", "interpolate",
-    "DegenerateSystemError", "hat_trace_u", "hat_trace_v",
+    "DegenerateSystemError",
     "update_u_given_v", "update_v_given_u",
-    "GcvRecord", "GcvTrace", "LambdaGrid", "gcv_u", "gcv_v", "select_lambda",
+    "ConditionalKernel", "GcvRecord", "GcvTrace", "LambdaGrid", "select_lambda",
     "ComponentPair", "Decomposition", "FitOptions", "fit",
     "fit_rank_one_robrsvd", "fit_rank_one_rsvd", "fit_rank_one_svd", "huber_objective",
     "ImputationOptions", "ImputationState", "fit_with_missing",

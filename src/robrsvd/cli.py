@@ -18,15 +18,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataio import MatrixFile, load, log_transform, save, save_json
-from .decompose import METHODS, FitOptions, _start, fit
-from .imputation import ImputationOptions, _initial_fill
+from .dataio import MatrixFile, format_number, load, log_transform, save, save_json
+from .decompose import METHODS, FitOptions, fit, fit_start
+from .imputation import ImputationOptions, initial_fill
 from .robust import DEFAULT_THETA, RobustLossSpec
-from .selection import GcvTrace, LambdaGrid, _ConditionalKernel, select_lambda
+from .selection import ConditionalKernel, GcvTrace, LambdaGrid, select_lambda
 from .penalties import TwoWayPenaltySpec, build_roughness_penalty
 from .simulate import (
     SimScenario,
-    _fmt,
     run_benchmark,
     write_summary_csv,
     write_summary_json,
@@ -112,7 +111,7 @@ def _write_vector_csv(path, grid, values, grid_name: str) -> None:
         writer = csv.writer(fh)
         writer.writerow([grid_name, "value"])
         for g, val in zip(grid, values):
-            writer.writerow([repr(float(g)), _fmt(val)])
+            writer.writerow([repr(float(g)), format_number(val)])
 
 
 def cmd_decompose(cfg: dict) -> int:
@@ -155,8 +154,8 @@ def cmd_decompose(cfg: dict) -> int:
         with open(os.path.join(out, f"component_{k}_info.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["s", "lambda_u", "lambda_v", "iterations", "converged"])
-            writer.writerow([_fmt(pair.s), _fmt(pair.lambda_u), _fmt(pair.lambda_v),
-                             pair.iterations, int(pair.converged)])
+            writer.writerow([format_number(pair.s), format_number(pair.lambda_u),
+                             format_number(pair.lambda_v), pair.iterations, int(pair.converged)])
         for side, trace in (("u", pair.history.get("gcv_trace_u")),
                             ("v", pair.history.get("gcv_trace_v"))):
             if isinstance(trace, GcvTrace):
@@ -193,8 +192,9 @@ def cmd_decompose(cfg: dict) -> int:
             writer = csv.writer(fh)
             writer.writerow(["component", "s", "lambda_u", "lambda_v", "iterations", "converged"])
             for info in meta:
-                writer.writerow([info["component"], _fmt(info["s"]), _fmt(info["lambda_u"]),
-                                 _fmt(info["lambda_v"]), info["iterations"], int(info["converged"])])
+                writer.writerow([info["component"], format_number(info["s"]),
+                                 format_number(info["lambda_u"]), format_number(info["lambda_v"]),
+                                 info["iterations"], int(info["converged"])])
 
     write_manifest(out, "decompose", cfg)
     return 0
@@ -233,7 +233,8 @@ def cmd_simulate(cfg: dict) -> int:
 
     if cfg["output_format"] in ("csv", "both"):
         write_summary_csv(result, os.path.join(cfg["out"], "summary.csv"))
-    if cfg["output_format"] in ("json", "both"):
+    # failures are recorded only in the JSON summary, so it is written whenever there are any
+    if cfg["output_format"] in ("json", "both") or result.failures:
         write_summary_json(result, os.path.join(cfg["out"], "summary.json"))
     write_manifest(cfg["out"], "simulate", cfg)
     if result.failures:
@@ -257,17 +258,17 @@ def cmd_gcv_trace(cfg: dict) -> int:
     if not cfg["input"]:
         raise ValueError("gcv-trace needs an input file")
     X = load(_matrix_file(cfg))
-    values = _initial_fill(X, ImputationOptions().init)
+    values = initial_fill(X, ImputationOptions().init)
     loss = _loss(cfg)
-    s, u, v, sigma = _start(values, loss)
+    s, u, v, sigma = fit_start(values, loss)
     weights = loss.weights(values - s * np.outer(u, v), sigma)
 
     # both smoothing parameters start at 0, so the other side is unpenalized
     spec = TwoWayPenaltySpec(build_roughness_penalty(X.row_grid), build_roughness_penalty(X.col_grid))
     if cfg["trace"] == "v":
-        kernel = _ConditionalKernel(values, u, weights, spec)
+        kernel = ConditionalKernel(values, u, weights, spec)
     else:
-        kernel = _ConditionalKernel.for_u(values, v, weights, spec)
+        kernel = ConditionalKernel.for_u(values, v, weights, spec)
     _, trace = select_lambda(_lambda_grid(cfg), kernel.score)
     trace.write_csv(cfg["out"])
     write_manifest(None, "gcv-trace", cfg, filename=cfg["out"] + ".manifest.json")

@@ -34,7 +34,14 @@ __all__ = [
     "save_json",
     "log_transform",
     "energy_percentages",
+    "format_number",
 ]
+
+
+def format_number(x) -> str:
+    """A number as CSV text: fixed 17-significant-digit scientific notation,
+    which keeps CSV output byte-identical across runs and platforms."""
+    return f"{float(x):.16e}"
 
 
 class ParseError(ValueError):

@@ -17,10 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# imputation imports this module in turn; each calls the other through the
+# module object, so neither needs the other fully loaded at import time
+from . import imputation as imputing
 from .matrices import ObservedMatrix, ResidualMatrix
-from .penalties import TwoWayPenaltySpec, build_roughness_penalty, second_difference_penalty, two_way_penalty
+from .penalties import TwoWayPenaltySpec, build_roughness_penalty, two_way_penalty
 from .robust import RobustLossSpec, estimate_scale_mad, huber_rho, squared_loss_spec
-from .selection import LambdaGrid, _ConditionalKernel, select_lambda
+from .selection import ConditionalKernel, LambdaGrid, select_lambda
 from .updates import update_u_given_v, update_v_given_u
 
 __all__ = [
@@ -32,6 +35,7 @@ __all__ = [
     "fit_rank_one_svd",
     "fit_rank_one_rsvd",
     "fit_rank_one_robrsvd",
+    "fit_start",
     "huber_objective",
 ]
 
@@ -135,28 +139,39 @@ def _leading_triple(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return float(s_vec[0]), u, v
 
 
-def _start(values: np.ndarray, loss: RobustLossSpec) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Where every fit starts: the leading SVD triple and the residual scale sigma."""
+def fit_start(values: np.ndarray, loss: RobustLossSpec) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Where every fit starts: the leading SVD triple and the residual scale sigma.
+
+    A robust loss (finite theta) raises ValueError when the MAD scale is at
+    the rounding level of the data (at most 1e-10 max|x|), as on noise-free
+    input: weights scaled by rounding error would discount every cell.
+    """
     s, u, v = _leading_triple(values)
     if loss.sigma_source == "fixed":
         return s, u, v, float(loss.sigma)
     try:
-        return s, u, v, estimate_scale_mad(values - s * np.outer(u, v))
+        sigma = estimate_scale_mad(values - s * np.outer(u, v))
     except ValueError:
         if np.isinf(loss.theta):
             return s, u, v, 1.0  # squared loss: the scale cancels from every update
         raise
+    size = float(np.abs(values).max())
+    if np.isfinite(loss.theta) and sigma <= 1e-10 * size:
+        raise ValueError(
+            f"residual scale {sigma:.3e} is at the rounding level of the data (max |x| {size:.3e}); "
+            f"a robust fit needs noisy data or a fixed sigma"
+        )
+    return s, u, v, sigma
 
 
-def _build_omegas(X: ObservedMatrix, omegas, penalty: str) -> tuple[np.ndarray, np.ndarray]:
+def _build_omegas(X: ObservedMatrix, omegas) -> tuple[np.ndarray, np.ndarray]:
     if omegas is not None:
         return omegas
-    builder = {"spline": build_roughness_penalty, "second_difference": second_difference_penalty}
-    try:
-        build = builder[penalty]
-    except KeyError:
-        raise ValueError(f"unknown penalty kind {penalty!r}") from None
-    return build(X.row_grid), build(X.col_grid)
+    if min(X.shape) < 3:
+        raise ValueError(
+            f"a spline penalty needs at least 3 rows and 3 columns, got {X.shape[0]}x{X.shape[1]}"
+        )
+    return build_roughness_penalty(X.row_grid), build_roughness_penalty(X.col_grid)
 
 
 def _as_observed(X) -> ObservedMatrix:
@@ -173,7 +188,7 @@ def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts:
     omega_u, omega_v = omegas
     spec0 = TwoWayPenaltySpec(omega_u, omega_v)
 
-    s, u, v, sigma = _start(values, loss)
+    s, u, v, sigma = fit_start(values, loss)
     theta = float(loss.theta)
 
     selecting_possible = len(grid) > 1
@@ -205,7 +220,7 @@ def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts:
         w = loss.weights(values - s * np.outer(u, v), sigma)
         if selecting:
             # one eigendecomposition scores the whole grid; freed after the sweep
-            kernel = _ConditionalKernel(values, u, w, spec0.with_lambdas(lambda_u=lam_u))
+            kernel = ConditionalKernel(values, u, w, spec0.with_lambdas(lambda_u=lam_u))
             lam_v, trace_v = select_lambda(grid, kernel.score)
             del kernel
         v_new = update_v_given_u(values, u, w, spec0.with_lambdas(lam_u, lam_v))
@@ -219,7 +234,7 @@ def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts:
 
         w = loss.weights(values - s * np.outer(u, v), sigma)
         if selecting:
-            kernel = _ConditionalKernel.for_u(values, v, w, spec0.with_lambdas(lambda_v=lam_v))
+            kernel = ConditionalKernel.for_u(values, v, w, spec0.with_lambdas(lambda_v=lam_v))
             lam_u, trace_u = select_lambda(grid, kernel.score)
             del kernel
         u_new = update_u_given_v(values, v, w, spec0.with_lambdas(lam_u, lam_v))
@@ -263,7 +278,6 @@ def fit_rank_one_robrsvd(
     penalty_grid: LambdaGrid = None,
     opts: FitOptions = None,
     omegas=None,
-    penalty: str = "spline",
 ) -> ComponentPair:
     """Robust regularized rank-one fit of a complete matrix.
 
@@ -276,7 +290,7 @@ def fit_rank_one_robrsvd(
     loss = RobustLossSpec() if loss is None else loss
     grid = LambdaGrid.log_default() if penalty_grid is None else penalty_grid
     opts = FitOptions() if opts is None else opts
-    return _irls_rank_one(X.values, _build_omegas(X, omegas, penalty), loss, grid, opts)
+    return _irls_rank_one(X.values, _build_omegas(X, omegas), loss, grid, opts)
 
 
 def fit_rank_one_rsvd(
@@ -284,14 +298,13 @@ def fit_rank_one_rsvd(
     penalty_grid: LambdaGrid = None,
     opts: FitOptions = None,
     omegas=None,
-    penalty: str = "spline",
 ) -> ComponentPair:
     """Regularized (nonrobust) rank-one fit: the squared-loss special case.
 
     Identical loop with the weights pinned at 2, i.e. a Huber loss with an
     infinite threshold.
     """
-    return fit_rank_one_robrsvd(X, squared_loss_spec(), penalty_grid, opts, omegas, penalty)
+    return fit_rank_one_robrsvd(X, squared_loss_spec(), penalty_grid, opts, omegas)
 
 
 def fit_rank_one_svd(X) -> ComponentPair:
@@ -330,7 +343,6 @@ def fit(
     loss: RobustLossSpec = None,
     penalty_grid: LambdaGrid = None,
     opts: FitOptions = None,
-    penalty: str = "spline",
     imputation=None,
 ) -> Decomposition:
     """Sequential rank-``rank`` decomposition by deflation.
@@ -340,15 +352,12 @@ def fit(
     are handled by iterative imputation: while extracting component k the
     missing cells ride along at the running rank-k reconstruction.
     """
-    from .imputation import ImputationOptions, fit_with_missing
-
     X = _as_observed(X)
     m, n = X.shape
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank must be between 1 and {min(m, n)}, got {rank}")
     _check_method(method)
-    omegas = None if method == "svd" else _build_omegas(X, None, penalty)
-    imputation = ImputationOptions() if imputation is None else imputation
+    omegas = None if method == "svd" else _build_omegas(X, None)
 
     components = []
     resid = X.values.copy()
@@ -358,7 +367,7 @@ def fit(
             if Xk.is_complete:
                 pair = rank_one_fit(Xk, method, loss, penalty_grid, opts, omegas)
             else:
-                pair, _ = fit_with_missing(
+                pair, _ = imputing.fit_with_missing(
                     Xk, method, loss=loss, penalty_grid=penalty_grid, opts=opts,
                     omegas=omegas, imputation=imputation,
                 )

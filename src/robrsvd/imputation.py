@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import decompose
 from .matrices import ObservedMatrix
 from .robust import RobustLossSpec
 
-__all__ = ["ImputationOptions", "ImputationState", "fit_with_missing"]
+__all__ = ["ImputationOptions", "ImputationState", "fit_with_missing", "initial_fill"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,9 @@ class ImputationState:
     converged: bool = True
 
 
-def _initial_fill(X: ObservedMatrix, how: str) -> np.ndarray:
+def initial_fill(X: ObservedMatrix, how: str) -> np.ndarray:
+    """Observed cells as they are, missing cells at their row or column mean
+    (``how`` is ``ImputationOptions.init``)."""
     values, mask = X.values, X.mask
     obs_rows = mask.sum(axis=1)
     obs_cols = mask.sum(axis=0)
@@ -85,17 +88,17 @@ def fit_with_missing(
     imputation rounds. Observed cells are never altered. For the robust
     method the residual scale is estimated once, on the initially filled
     matrix, and held fixed across rounds so all rounds minimize the same
-    objective.
+    objective. The pair's ``history["imputation"]`` records the rounds, the
+    last change and whether the imputation converged; the pair is
+    ``converged`` only if its last fit and the imputation both converged.
     """
-    from .decompose import rank_one_fit
-
     imputation = ImputationOptions() if imputation is None else imputation
 
     if X.is_complete:
-        pair = rank_one_fit(X, method, loss, penalty_grid, opts, omegas)
+        pair = decompose.rank_one_fit(X, method, loss, penalty_grid, opts, omegas)
         return pair, ImputationState(X.values.copy(), 0, 0.0)
 
-    filled = _initial_fill(X, imputation.init)
+    filled = initial_fill(X, imputation.init)
     missing = ~X.mask
     observed = X.observed_values()
     data_range = float(observed.max() - observed.min())
@@ -107,7 +110,7 @@ def fit_with_missing(
     converged = False
     for rounds in range(1, imputation.max_rounds + 1):
         Xf = ObservedMatrix(filled, None, X.row_grid, X.col_grid)
-        pair = rank_one_fit(Xf, method, loss, penalty_grid, opts, omegas)
+        pair = decompose.rank_one_fit(Xf, method, loss, penalty_grid, opts, omegas)
         if method == "robrsvd" and rounds == 1:
             # freeze the scale found on the first filled matrix
             loss_sigma = pair.history.get("sigma")
@@ -121,4 +124,7 @@ def fit_with_missing(
             converged = True
             break
 
+    record = {"rounds": rounds, "last_change": last_change, "converged": converged}
+    pair = replace(pair, converged=pair.converged and converged,
+                   history={**pair.history, "imputation": record})
     return pair, ImputationState(filled, rounds, last_change, converged)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ObservedMatrix", "WeightMatrix", "ResidualMatrix", "residual"]
+__all__ = ["ObservedMatrix", "ResidualMatrix", "residual"]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -104,25 +104,6 @@ class ObservedMatrix:
     def with_values(self, values: np.ndarray) -> "ObservedMatrix":
         """Same mask and grids, new values."""
         return ObservedMatrix(values, self.mask, self.row_grid, self.col_grid)
-
-
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Nonnegative IRLS weights, one per cell; 0 at masked cells."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2:
-            raise ValueError("weights must be a 2-d array")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weights must be finite and nonnegative")
-        object.__setattr__(self, "weights", _readonly(w))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.weights.shape
 
 
 @dataclass(frozen=True)

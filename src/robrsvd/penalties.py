@@ -4,8 +4,7 @@ The default penalty matrix Omega represents the integrated squared second
 derivative of the natural cubic spline interpolant: f' Omega f equals
 int (g'')^2 for the interpolant g of f at the grid points. It is built in
 closed form from consecutive grid gaps via the classic Q/R decomposition of
-the second-difference operator. A plain squared-second-difference penalty is
-available as a cheaper banded alternative for equally spaced grids.
+the second-difference operator. It is the only penalty the fits use.
 """
 
 from __future__ import annotations
@@ -18,10 +17,8 @@ from scipy.linalg import solveh_banded
 __all__ = [
     "TwoWayPenaltySpec",
     "build_roughness_penalty",
-    "second_difference_penalty",
     "two_way_penalty",
     "conditional_penalty_v",
-    "conditional_penalty_u",
 ]
 
 
@@ -67,29 +64,6 @@ def build_roughness_penalty(grid) -> np.ndarray:
     q, r_banded = spline_qr(grid)
     omega = q @ solveh_banded(r_banded, q.T)
     return (omega + omega.T) / 2.0
-
-
-def second_difference_penalty(grid) -> np.ndarray:
-    """Banded squared-second-difference penalty for an equally spaced grid.
-
-    Scaled by the grid spacing so the quadratic form approximates
-    int (f'')^2. Pentadiagonal, a cheap stand-in for the spline penalty.
-    """
-    grid = np.asarray(grid, dtype=float)
-    k = grid.size
-    if grid.ndim != 1 or k < 3:
-        raise ValueError("grid must be a 1-d array with at least 3 points")
-    h = np.diff(grid)
-    if np.any(h <= 0):
-        raise ValueError("grid must be strictly increasing")
-    if not np.allclose(h, h[0], rtol=1e-8, atol=0.0):
-        raise ValueError("second-difference penalty requires an equally spaced grid")
-    d = np.zeros((k - 2, k))
-    cols = np.arange(k - 2)
-    d[cols, cols] = 1.0
-    d[cols, cols + 1] = -2.0
-    d[cols, cols + 2] = 1.0
-    return (d.T @ d) / h[0] ** 3
 
 
 def _check_penalty_matrix(omega: np.ndarray, size: int, name: str) -> np.ndarray:
@@ -176,7 +150,3 @@ def conditional_penalty_v(u: np.ndarray, spec: TwoWayPenaltySpec) -> np.ndarray:
     out[np.diag_indices(n)] += alpha - uu
     return out
 
-
-def conditional_penalty_u(v: np.ndarray, spec: TwoWayPenaltySpec) -> np.ndarray:
-    """Mirror of :func:`conditional_penalty_v` with the roles of u and v swapped."""
-    return conditional_penalty_v(v, spec.swapped())

@@ -5,8 +5,9 @@ frozen at the current iteration: the squared distance between the penalized
 and unpenalized updates, normalized by the squared complement of the average
 hat-matrix trace. Selection is a plain grid search; the two parameters are
 decoupled because each score conditions on the other side's current value.
-A sweep costs one eigendecomposition of the weighted penalty matrix, after
-which every candidate is scored in O(n^2) without a further factorization.
+``ConditionalKernel`` is the one route to a score or a hat trace: a sweep
+costs one eigendecomposition of the weighted penalty matrix, after which
+every candidate is scored in O(n^2) without a further factorization.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .penalties import TwoWayPenaltySpec
-from .updates import DegenerateSystemError, _as_data, _as_weights, design_v
+from .updates import DegenerateSystemError, _as_data, design_v
 
-__all__ = ["LambdaGrid", "GcvRecord", "GcvTrace", "gcv_v", "gcv_u", "select_lambda"]
+__all__ = ["LambdaGrid", "GcvRecord", "GcvTrace", "ConditionalKernel", "select_lambda"]
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class GcvTrace:
                 writer.writerow([repr(r.lam), repr(r.score), repr(r.hat_trace), int(r.chosen)])
 
 
-class _ConditionalKernel:
+class ConditionalKernel:
     """GCV score and hat trace of the v-update at every candidate lambda_v.
 
     With u, the weights and lambda_u fixed, the v-update system is
@@ -87,22 +88,21 @@ class _ConditionalKernel:
     (the Demmler-Reinsch basis) diagonalizes it for every lam at once: with
     G = diag(e)^-1/2 P and f = 1 / (1 + 2 alpha lam mu), the inverse is
     G diag(f) G', so each candidate costs O(n^2) instead of a factorization.
-    ``X=None`` gives a kernel that only reports traces.
+    ``ConditionalKernel.for_u`` gives the u-update's kernel. Raises
+    ValueError naming the columns whose total weight is zero.
     """
 
     def __init__(self, X, u, weights, spec: TwoWayPenaltySpec):
         u = np.asarray(u, dtype=float)
-        if X is None:
-            d, b = (u * u) @ _as_weights(weights), None
-        else:
-            d, b = design_v(X, u, weights)
+        d, b = design_v(X, u, weights)
         if np.any(d <= 0):
             dead = np.flatnonzero(d <= 0)
             raise ValueError(
                 f"unpenalized update undefined: zero total weight at index(es) {dead.tolist()}"
             )
         uu = float(u @ u)
-        alpha = uu + spec.lambda_u * float(u @ spec.omega_u @ u)
+        # u'Omega_u u >= 0; clipping its rounding keeps e >= d > 0
+        alpha = uu + spec.lambda_u * max(float(u @ spec.omega_u @ u), 0.0)
         e = d + 2.0 * (alpha - uu)
         scale = 1.0 / np.sqrt(e)
         scaled = spec.omega_v * scale
@@ -121,27 +121,31 @@ class _ConditionalKernel:
         # the GCV denominator accurate where the trace is close to n
         self._free_rate = self._c * self._rate
         self._free_base = float(np.sum(2.0 * (alpha - uu) / e))
-        if b is not None:
-            self._g = g
-            self._gb = g.T @ b
-            # b/e - b/d, the part of v_hat - b/d that does not depend on lam
-            self._shift = -2.0 * (alpha - uu) * b / (e * d)
+        self._g = g
+        self._gb = g.T @ b
+        # b/e - b/d, the part of v_hat - b/d that does not depend on lam
+        self._shift = -2.0 * (alpha - uu) * b / (e * d)
 
     @classmethod
-    def for_u(cls, X, v, weights, spec: TwoWayPenaltySpec) -> "_ConditionalKernel":
-        """The u-update's kernel, through the rows-for-columns mirror."""
-        values = None if X is None else _as_data(X).T
-        return cls(values, v, _as_weights(weights).T, spec.swapped())
+    def for_u(cls, X, v, weights, spec: TwoWayPenaltySpec) -> "ConditionalKernel":
+        """The u-update's kernel at every candidate lambda_u, through the rows-for-columns mirror."""
+        return cls(_as_data(X).T, v, np.asarray(weights, dtype=float).T, spec.swapped())
 
     def _shrink(self, lam: float) -> np.ndarray:
         return 1.0 / (1.0 + lam * self._rate)
 
     def trace(self, lam: float) -> float:
-        """Hat-matrix trace sum_k c_k f_k, with c = d'(G o G)."""
+        """Hat-matrix trace sum_k c_k f_k, with c = d'(G o G): the update's
+        effective degrees of freedom, n when both penalties are off."""
         return float(self._c @ self._shrink(lam))
 
     def score(self, lam: float) -> tuple[float, float]:
-        """(GCV score, hat trace) at lambda_v = ``lam``; +inf once the trace reaches n."""
+        """(GCV score, hat trace) at ``lam``; +inf once the trace reaches n.
+
+        The score is the squared distance of the penalized update from the
+        unpenalized one (b/d), over n, normalized by (1 - trace/n)^2. +inf
+        is the 0/0 guard hit when both smoothing parameters are 0.
+        """
         f = self._shrink(lam)
         trace = float(self._c @ f)
         n = self._n
@@ -153,32 +157,6 @@ class _ConditionalKernel:
         # v_hat - b/d = G((f - 1) o G'b) + (b/e - b/d)
         gap = self._g @ (self._gb * (-lam * self._rate * f)) + self._shift
         return float(gap @ gap) / n / free ** 2, trace
-
-
-def gcv_v(X, u: np.ndarray, weights, spec: TwoWayPenaltySpec) -> float:
-    """GCV score for the v-update at the candidate ``spec.lambda_v``.
-
-    Compares the penalized update against the unpenalized one (the plain
-    weighted least-squares solution b/d) and inflates by the effective
-    degrees of freedom. Returns +inf when the hat trace reaches n, the 0/0
-    guard hit at lambda_u = lambda_v = 0.
-    """
-    score, _ = gcv_v_with_trace(X, u, weights, spec)
-    return score
-
-
-def gcv_v_with_trace(X, u, weights, spec: TwoWayPenaltySpec) -> tuple[float, float]:
-    return _ConditionalKernel(X, u, weights, spec).score(spec.lambda_v)
-
-
-def gcv_u(X, v: np.ndarray, weights, spec: TwoWayPenaltySpec) -> float:
-    """Mirror of :func:`gcv_v` for the u-update at ``spec.lambda_u``."""
-    score, _ = gcv_u_with_trace(X, v, weights, spec)
-    return score
-
-
-def gcv_u_with_trace(X, v, weights, spec: TwoWayPenaltySpec) -> tuple[float, float]:
-    return _ConditionalKernel.for_u(X, v, weights, spec).score(spec.lambda_u)
 
 
 def select_lambda(grid: LambdaGrid, score) -> tuple[float, GcvTrace]:

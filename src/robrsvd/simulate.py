@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataio import format_number
 from .decompose import METHODS, FitOptions, fit
 from .matrices import ObservedMatrix
 from .robust import RobustLossSpec
@@ -380,20 +381,15 @@ def run_benchmark(
     return BenchmarkResult(tuple(records), tuple(summary), tuple(failures))
 
 
-def _fmt(x) -> str:
-    # fixed 17-significant-digit scientific notation keeps CSV output
-    # byte-identical across runs and platforms
-    return f"{float(x):.16e}"
-
-
 def write_summary_csv(result: BenchmarkResult, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "method", "sigma2", "metric", "median", "q1", "q3", "replications"])
         for row in result.summary:
             writer.writerow([
-                row["scenario"], row["method"], _fmt(row["sigma2"]), row["metric"],
-                _fmt(row["median"]), _fmt(row["q1"]), _fmt(row["q3"]), row["replications"],
+                row["scenario"], row["method"], format_number(row["sigma2"]), row["metric"],
+                format_number(row["median"]), format_number(row["q1"]), format_number(row["q3"]),
+                row["replications"],
             ])
 
 

@@ -1,4 +1,4 @@
-"""Conditional penalized weighted least-squares updates and hat-matrix traces.
+"""Conditional penalized weighted least-squares updates.
 
 For fixed u, the weighted criterion in v has normal equations
 
@@ -8,8 +8,8 @@ where U is the block-diagonal stack of u and Y the column-stacked data. The
 block structure collapses U'WU to the diagonal sum_i u_i^2 w_ij and U'WY to
 sum_i u_i w_ij x_ij, so no mn-sized matrix is ever materialized; the systems
 solved here are only n-by-n (or m-by-m for the mirrored update). Each update
-is one Cholesky solve. Hat traces come from the GCV kernel in ``selection``,
-where a whole lambda sweep costs one eigendecomposition.
+is one Cholesky solve. Hat traces and GCV scores come from
+``selection.ConditionalKernel``, which builds on ``design_v`` below.
 """
 
 from __future__ import annotations
@@ -17,27 +17,19 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .matrices import ObservedMatrix, WeightMatrix
+from .matrices import ObservedMatrix
 from .penalties import TwoWayPenaltySpec, conditional_penalty_v
 
 __all__ = [
     "DegenerateSystemError",
     "update_v_given_u",
     "update_u_given_v",
-    "hat_trace_v",
-    "hat_trace_u",
 ]
 
 
 class DegenerateSystemError(ValueError):
     """A conditional system is singular (zero weights, no penalty coupling) or its
     penalty is not nonnegative definite."""
-
-
-def _as_weights(weights) -> np.ndarray:
-    if isinstance(weights, WeightMatrix):
-        return weights.weights
-    return np.asarray(weights, dtype=float)
 
 
 def _as_data(X) -> np.ndarray:
@@ -50,7 +42,7 @@ def _as_data(X) -> np.ndarray:
 def design_v(X, u: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal d_j = sum_i u_i^2 w_ij and right side b_j = sum_i u_i w_ij x_ij."""
     values = _as_data(X)
-    w = _as_weights(weights)
+    w = np.asarray(weights, dtype=float)
     u = np.asarray(u, dtype=float)
     if values.shape != w.shape or u.shape != (values.shape[0],):
         raise ValueError("shape mismatch between data, weights, and u")
@@ -93,25 +85,6 @@ def update_v_given_u(X, u: np.ndarray, weights, spec: TwoWayPenaltySpec) -> np.n
 def update_u_given_v(X, v: np.ndarray, weights, spec: TwoWayPenaltySpec) -> np.ndarray:
     """Mirror of :func:`update_v_given_u`: rows and columns swap roles."""
     values = _as_data(X)
-    w = _as_weights(weights)
+    w = np.asarray(weights, dtype=float)
     return _solve_v(values.T, v, w.T, spec.swapped(), "row")
 
-
-def hat_trace_v(u: np.ndarray, weights, spec: TwoWayPenaltySpec) -> float:
-    """Trace of the hat matrix of the v-update (its effective degrees of freedom).
-
-    Uses tr(H) = tr((U'WU + 2 Omega_{v|u})^{-1} U'WU), an n-by-n computation;
-    the mn-by-mn hat matrix itself is never formed. Equals n when both
-    penalty parameters are zero and shrinks as lambda_v grows. Raises
-    ValueError naming the columns whose total weight is zero.
-    """
-    from .selection import _ConditionalKernel  # selection imports this module
-
-    return _ConditionalKernel(None, u, weights, spec).trace(spec.lambda_v)
-
-
-def hat_trace_u(v: np.ndarray, weights, spec: TwoWayPenaltySpec) -> float:
-    """Trace of the hat matrix of the u-update."""
-    from .selection import _ConditionalKernel
-
-    return _ConditionalKernel.for_u(None, v, weights, spec).trace(spec.lambda_u)

@@ -24,7 +24,7 @@ from robrsvd.imputation import ImputationOptions, fit_with_missing
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, two_way_penalty, build_roughness_penalty
 from robrsvd.robust import RobustLossSpec, squared_loss_spec
-from robrsvd.selection import LambdaGrid, gcv_u_with_trace, gcv_v_with_trace
+from robrsvd.selection import ConditionalKernel, LambdaGrid
 from robrsvd.simulate import (
     SimScenario,
     generate,
@@ -33,7 +33,7 @@ from robrsvd.simulate import (
     run_benchmark,
 )
 from robrsvd.splines import interpolate
-from robrsvd.updates import hat_trace_u, hat_trace_v, update_u_given_v, update_v_given_u
+from robrsvd.updates import update_u_given_v, update_v_given_u
 from conftest import dense_gcv_v, dense_hat_trace_v, dense_update_v, mirror
 
 
@@ -87,18 +87,20 @@ def test_criterion_2_oracle_equivalence(small_suite):
         worst = max(worst, rel(
             update_u_given_v(inst.values, inst.v, inst.weights, inst.spec),
             dense_update_v(xt, inst.v, wt, sw)))
+        kernel_v = ConditionalKernel(inst.values, inst.u, inst.weights, inst.spec)
+        kernel_u = ConditionalKernel.for_u(inst.values, inst.v, inst.weights, inst.spec)
         worst = max(worst, rel(
-            hat_trace_v(inst.u, inst.weights, inst.spec),
+            kernel_v.trace(inst.spec.lambda_v),
             dense_hat_trace_v(inst.values, inst.u, inst.weights, inst.spec)))
         worst = max(worst, rel(
-            hat_trace_u(inst.v, inst.weights, inst.spec),
+            kernel_u.trace(inst.spec.lambda_u),
             dense_hat_trace_v(xt, inst.v, wt, sw)))
-        got, got_tr = gcv_v_with_trace(inst.values, inst.u, inst.weights, inst.spec)
+        got, got_tr = kernel_v.score(inst.spec.lambda_v)
         want, want_tr = dense_gcv_v(inst.values, inst.u, inst.weights, inst.spec)
         if np.isfinite(want):
             worst = max(worst, rel(got, want))
         worst = max(worst, rel(got_tr, want_tr))
-        got_u, got_utr = gcv_u_with_trace(inst.values, inst.v, inst.weights, inst.spec)
+        got_u, got_utr = kernel_u.score(inst.spec.lambda_u)
         want_u, want_utr = dense_gcv_v(xt, inst.v, wt, sw)
         if np.isfinite(want_u):
             worst = max(worst, rel(got_u, want_u))

@@ -1,5 +1,7 @@
+import ast
 import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -118,6 +120,23 @@ def test_simulate_rejects_unknown_method(tmp_path):
                "--replications", "1", "--methods", "bogus,svd", "--out", str(out)])
     assert rc == 1
     assert not (out / "summary.csv").exists()
+
+
+def test_simulate_failures_saved_under_csv_output(tmp_path, monkeypatch, capsys):
+    import robrsvd.simulate as simulate
+
+    def broken_fit(*args, **kwargs):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(simulate, "fit", broken_fit)
+    out = tmp_path / "x"
+    rc = main(["simulate", "--scenario", "none", "--rows", "12", "--cols", "12",
+               "--replications", "2", "--methods", "svd", "--out", str(out)])
+    assert rc == 0
+    assert "see summary.json" in capsys.readouterr().err
+    failures = json.loads((out / "summary.json").read_text())["failures"]
+    assert [f["replication"] for f in failures] == [0, 1]
+    assert all(f["error"] == "FloatingPointError: injected" for f in failures)
 
 
 def test_gcv_trace_single_point_grid(tmp_path):
@@ -317,3 +336,22 @@ def test_config_value_outside_choices_rejected(tmp_path, monkeypatch, argv, entr
         main(argv + ["--config", "bad.cfg"])
     assert exc.value.code == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "diag.csv"]
+
+
+def test_cli_and_demos_import_public_names_only():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = [root / "src" / "robrsvd" / "cli.py", *sorted((root / "demos").glob("*.py"))]
+    assert len(files) > 1
+    private = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "robrsvd"):
+                names = (node.module or "").split(".") + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [part for alias in node.names if alias.name.split(".")[0] == "robrsvd"
+                         for part in alias.name.split(".")]
+            else:
+                continue
+            private += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+    assert private == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,6 +268,35 @@ def test_masked_input_rejected_by_rank_one_fitters():
     for fitter in (fit_rank_one_svd, fit_rank_one_rsvd, fit_rank_one_robrsvd):
         with pytest.raises(ValueError, match="missing"):
             fitter(X)
+
+
+def test_spline_penalty_needs_three_rows_and_columns():
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for method in ("robrsvd", "rsvd"):
+        with pytest.raises(ValueError, match="at least 3 rows and 3 columns, got 2x2"):
+            fit(X, method=method)
+    s = fit(X, method="svd").components[0].s
+    assert s == pytest.approx(np.linalg.svd(X, compute_uv=False)[0], rel=1e-14)
+
+
+@pytest.mark.parametrize("X", [
+    np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 2.0]),
+    generate(SimScenario(grid_size=(30, 30), contamination="none", seed=1)).truth.signal,
+], ids=["outer_3x3", "signal_30x30"])
+def test_noise_free_input_names_the_rounding_level_scale(X):
+    # the MAD scale of rounding-level residuals is ~1e-16 max|x|: Huber weights
+    # built on it are meaningless, so the robust fit refuses with a reason
+    svd_s = np.linalg.svd(X, compute_uv=False)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rounding level of the data"):
+            fit_rank_one_robrsvd(X)
+        with pytest.raises(RuntimeError, match="component 1 failed: residual scale"):
+            fit(X, method="robrsvd")
+        assert fit(X, method="svd").components[0].s == pytest.approx(svd_s, rel=1e-12)
+        rsvd = fit(X, method="rsvd").components[0]
+    assert rsvd.converged
+    assert rsvd.s == pytest.approx(svd_s, rel=0.02)
 
 
 def test_fit_validates_rank_and_method():

@@ -7,6 +7,7 @@ from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import RobustLossSpec
 from robrsvd.selection import LambdaGrid
+from robrsvd.simulate import SimScenario, generate, mask_random
 
 
 def rank_one_surface(m=16, n=14, scale=40.0):
@@ -106,6 +107,23 @@ def test_objective_nonincreasing_across_rounds():
         filled = np.where(mask, filled, pair.s * np.outer(pair.u, pair.v))
     diffs = np.diff(objectives)
     assert np.all(diffs <= 1e-9 * np.abs(objectives[:-1]))
+
+
+def test_imputation_nonconvergence_is_reported():
+    # two rounds leave the imputed cells moving by several units
+    res = generate(SimScenario(grid_size=(40, 40), contamination="outlying_rows", seed=1))
+    X = mask_random(res, 300, seed=1).data
+    capped = ImputationOptions(max_rounds=2)
+    pair = fit(X, imputation=capped).components[0]
+    assert not pair.converged
+    assert pair.history["imputation"]["rounds"] == 2
+    assert not pair.history["imputation"]["converged"]
+
+    pair, state = fit_with_missing(X, "robrsvd", imputation=capped)
+    assert not pair.converged and not state.converged
+    assert pair.history["imputation"] == {
+        "rounds": state.rounds, "last_change": state.last_change, "converged": False}
+    assert state.last_change > capped.tol
 
 
 def test_empty_row_or_column_rejected():

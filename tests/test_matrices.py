@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robrsvd.matrices import ObservedMatrix, ResidualMatrix, WeightMatrix, residual
+from robrsvd.matrices import ObservedMatrix, ResidualMatrix, residual
 
 
 def test_residual_exact_fit_is_zero():
@@ -100,14 +100,6 @@ def test_arrays_are_immutable():
         X.values[0, 0] = 1.0
     with pytest.raises(ValueError):
         X.mask[0, 0] = False
-
-
-def test_weight_matrix_validation():
-    WeightMatrix(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        WeightMatrix(-np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        WeightMatrix(np.full((2, 2), np.inf))
 
 
 def test_residual_matrix_masked_cells_zeroed():

@@ -6,9 +6,7 @@ from scipy.interpolate import CubicSpline
 from robrsvd.penalties import (
     TwoWayPenaltySpec,
     build_roughness_penalty,
-    conditional_penalty_u,
     conditional_penalty_v,
-    second_difference_penalty,
     two_way_penalty,
 )
 from conftest import dense_conditional_penalty_v, random_psd
@@ -68,17 +66,6 @@ def test_roughness_contract_violations():
         build_roughness_penalty(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         build_roughness_penalty(np.array([0.0, 0.5, 0.5, 1.0]))
-
-
-def test_second_difference_penalty_banded_and_null_space():
-    grid = np.linspace(0.0, 1.0, 8)
-    omega = second_difference_penalty(grid)
-    lin = 1.0 + 2.0 * grid
-    assert lin @ omega @ lin == pytest.approx(0.0, abs=1e-9)
-    # pentadiagonal: nothing beyond the second off-diagonal
-    assert np.all(np.triu(np.abs(omega), k=3) == 0)
-    with pytest.raises(ValueError):
-        second_difference_penalty(np.array([0.0, 0.1, 1.0]))
 
 
 def test_two_way_penalty_zero_when_unpenalized():
@@ -148,7 +135,7 @@ def test_conditional_penalties_match_dense_formula():
         got = conditional_penalty_v(u, spec)
         want = dense_conditional_penalty_v(u, spec)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        got_u = conditional_penalty_u(v, spec)
+        got_u = conditional_penalty_v(v, spec.swapped())
         want_u = dense_conditional_penalty_v(v, spec.swapped())
         np.testing.assert_allclose(got_u, want_u, rtol=1e-12, atol=1e-12 * np.abs(want_u).max())
 
@@ -171,7 +158,7 @@ def test_conditional_penalty_quadratic_form_equals_joint_penalty():
     v = rng.standard_normal(6)
     assert v @ conditional_penalty_v(u, spec) @ v == pytest.approx(
         two_way_penalty(u, v, spec), rel=1e-12)
-    assert u @ conditional_penalty_u(v, spec) @ u == pytest.approx(
+    assert u @ conditional_penalty_v(v, spec.swapped()) @ u == pytest.approx(
         two_way_penalty(u, v, spec), rel=1e-12)
 
 

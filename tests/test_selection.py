@@ -1,20 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
-from robrsvd.selection import (
-    _ConditionalKernel,
-    GcvTrace,
-    LambdaGrid,
-    gcv_u,
-    gcv_u_with_trace,
-    gcv_v,
-    gcv_v_with_trace,
-    select_lambda,
-)
-from robrsvd.updates import DegenerateSystemError, hat_trace_v, update_v_given_u
+from robrsvd.selection import ConditionalKernel, GcvTrace, LambdaGrid, select_lambda
+from robrsvd.updates import DegenerateSystemError, update_v_given_u
 from conftest import dense_gcv_v, dense_systems_v, mirror, random_psd
 
 
@@ -32,7 +25,7 @@ def test_gcv_guard_returns_infinity_when_unpenalized():
     X = rng.standard_normal((5, 4))
     u = rng.standard_normal(5)
     w = np.full((5, 4), 2.0)
-    assert gcv_v(X, u, w, spline_spec(5, 4, 0.0, 0.0)) == np.inf
+    assert ConditionalKernel(X, u, w, spline_spec(5, 4, 0.0, 0.0)).score(0.0)[0] == np.inf
 
 
 def test_gcv_matches_dense_oracle():
@@ -41,7 +34,7 @@ def test_gcv_matches_dense_oracle():
     u = rng.standard_normal(4)
     w = rng.uniform(0.3, 2.0, (4, 3))
     spec = spline_spec(4, 3, 0.2, 0.7)
-    got, got_tr = gcv_v_with_trace(X, u, w, spec)
+    got, got_tr = ConditionalKernel(X, u, w, spec).score(spec.lambda_v)
     want, want_tr = dense_gcv_v(X, u, w, spec)
     assert got == pytest.approx(want, rel=1e-10)
     assert got_tr == pytest.approx(want_tr, rel=1e-10)
@@ -53,7 +46,7 @@ def test_gcv_u_matches_dense_oracle():
     v = rng.standard_normal(3)
     w = rng.uniform(0.3, 2.0, (5, 3))
     spec = spline_spec(5, 3, 0.9, 0.1)
-    got, got_tr = gcv_u_with_trace(X, v, w, spec)
+    got, got_tr = ConditionalKernel.for_u(X, v, w, spec).score(spec.lambda_u)
     xt, wt, sw = mirror(X, w, spec)
     want, want_tr = dense_gcv_v(xt, v, wt, sw)
     assert got == pytest.approx(want, rel=1e-10)
@@ -62,7 +55,8 @@ def test_gcv_u_matches_dense_oracle():
 
 def test_gcv_small_suite_oracle_equivalence(small_suite):
     for inst in small_suite:
-        got, got_tr = gcv_v_with_trace(inst.values, inst.u, inst.weights, inst.spec)
+        kernel = ConditionalKernel(inst.values, inst.u, inst.weights, inst.spec)
+        got, got_tr = kernel.score(inst.spec.lambda_v)
         want, want_tr = dense_gcv_v(inst.values, inst.u, inst.weights, inst.spec)
         assert got_tr == pytest.approx(want_tr, rel=1e-10)
         if np.isinf(want):
@@ -78,7 +72,7 @@ def test_gcv_zero_weight_column_error():
     w = rng.uniform(0.5, 2.0, (4, 3))
     w[:, 2] = 0.0
     with pytest.raises(ValueError, match=r"\[2\]"):
-        gcv_v(X, u, w, spline_spec(4, 3, 0.0, 0.5))
+        ConditionalKernel(X, u, w, spline_spec(4, 3, 0.0, 0.5))
 
 
 def test_distance_to_unpenalized_update_grows_with_lambda():
@@ -105,9 +99,7 @@ def test_selected_lambda_invariant_under_u_rescaling():
     grid = LambdaGrid.log_default(1e-6, 1e2, 12)
 
     def chooser(scale):
-        lam, _ = select_lambda(
-            grid, lambda lv: gcv_v_with_trace(X, scale * u, w, spec0.with_lambdas(0.0, lv))
-        )
+        lam, _ = select_lambda(grid, ConditionalKernel(X, scale * u, w, spec0).score)
         return lam
 
     assert chooser(1.0) == chooser(7.5)
@@ -167,16 +159,6 @@ def test_trace_csv_schema(tmp_path):
     assert lines[2].endswith(",1")  # lambda=1.0 chosen
 
 
-def test_shared_hat_trace_code_path():
-    rng = np.random.default_rng(66)
-    X = rng.standard_normal((5, 4))
-    u = rng.standard_normal(5)
-    w = rng.uniform(0.5, 2.0, (5, 4))
-    spec = spline_spec(5, 4, 0.1, 0.8)
-    _, trace = gcv_v_with_trace(X, u, w, spec)
-    assert trace == hat_trace_v(u, w, spec)
-
-
 def test_one_kernel_scores_the_whole_grid(small_suite):
     # Criterion 2's measure, 1e-10 absolute below magnitude 1 and relative
     # above, widened by the dense oracle's own first-order float64 rounding:
@@ -187,9 +169,9 @@ def test_one_kernel_scores_the_whole_grid(small_suite):
     for inst in small_suite:
         xt, wt, sw = mirror(inst.values, inst.weights, inst.spec)
         sides = (
-            (_ConditionalKernel(inst.values, inst.u, inst.weights, inst.spec),
+            (ConditionalKernel(inst.values, inst.u, inst.weights, inst.spec),
              (inst.values, inst.u, inst.weights, inst.spec)),
-            (_ConditionalKernel.for_u(inst.values, inst.v, inst.weights, inst.spec),
+            (ConditionalKernel.for_u(inst.values, inst.v, inst.weights, inst.spec),
              (xt, inst.v, wt, sw)),
         )
         for kernel, (X, u, w, spec) in sides:
@@ -225,7 +207,7 @@ def test_kernel_trace_nonincreasing_and_within_n(n, seed, log_d, rank):
     omega = b.T @ b  # PSD, possibly singular
     # one-row problem: with u = [1] the design diagonal is the weight row itself
     spec = TwoWayPenaltySpec(np.zeros((1, 1)), (omega + omega.T) / 2.0)
-    kernel = _ConditionalKernel(rng.standard_normal((1, n)), np.ones(1), d[None, :], spec)
+    kernel = ConditionalKernel(rng.standard_normal((1, n)), np.ones(1), d[None, :], spec)
     traces = np.array([kernel.trace(lam) for lam in np.logspace(-8, 8, 33)])
     assert np.all(traces > 0.0)
     assert np.all(traces <= n * (1.0 + 1e-12))  # n up to rounding
@@ -241,7 +223,27 @@ def test_kernel_rejects_indefinite_penalty():
     omega_v = q @ np.diag([2.0, 1.0, 0.5, -0.1]) @ q.T
     spec = TwoWayPenaltySpec(random_psd(rng, 5), omega_v, 0.0, 1.0)
     with pytest.raises(DegenerateSystemError, match="not nonnegative definite"):
-        gcv_v(X, u, w, spec)
+        ConditionalKernel(X, u, w, spec)
+
+
+def test_kernel_clips_rounding_level_negative_penalty_of_the_fixed_side():
+    # a linear u lies in the spline penalty's null space, where u'Omega_u u
+    # is rounding; a -1e-10 shift (under 1e-15 of the largest entry) makes it
+    # negative on any platform. With near-zero weights an unclipped
+    # alpha - u'u would then make the system's diagonal negative
+    grid = np.linspace(0.0, 1.0, 30)
+    u = (1.0 + 2.0 * grid) / np.linalg.norm(1.0 + 2.0 * grid)
+    omega_u = build_roughness_penalty(grid) - 1e-10 * np.outer(u, u)
+    spec = TwoWayPenaltySpec(omega_u, build_roughness_penalty(np.linspace(0, 1, 6)), 1.0)
+    assert u @ spec.omega_u @ u < 0.0
+    X = np.outer(u, np.arange(6.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = ConditionalKernel(X, u, np.full(X.shape, 1e-16), spec)
+        traces = [kernel.trace(lam) for lam in (0.0, 1.0, 1e4)]
+        assert np.isfinite(kernel.score(1.0)[0])
+    assert traces[0] == pytest.approx(6.0, rel=1e-12)
+    assert 0.0 < traces[2] <= traces[1] <= traces[0]
 
 
 def test_kernel_clips_rounding_level_negative_eigenvalues():
@@ -254,7 +256,7 @@ def test_kernel_clips_rounding_level_negative_eigenvalues():
 
     def kernel(smallest):
         omega_v = q @ np.diag([3.0, 2.0, 1.0, smallest]) @ q.T
-        return _ConditionalKernel(X, u, w, TwoWayPenaltySpec(omega_u, omega_v))
+        return ConditionalKernel(X, u, w, TwoWayPenaltySpec(omega_u, omega_v))
 
     clipped, exact = kernel(-1e-13), kernel(0.0)
     for lam in (1.0, 1e4):

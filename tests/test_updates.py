@@ -4,13 +4,8 @@ import pytest
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import huber_weight
-from robrsvd.updates import (
-    DegenerateSystemError,
-    hat_trace_u,
-    hat_trace_v,
-    update_u_given_v,
-    update_v_given_u,
-)
+from robrsvd.selection import ConditionalKernel
+from robrsvd.updates import DegenerateSystemError, update_u_given_v, update_v_given_u
 from conftest import (
     dense_gcv_v,
     dense_hat_trace_v,
@@ -114,7 +109,8 @@ def test_hat_trace_equals_n_when_unpenalized():
     rng = np.random.default_rng(47)
     u = rng.standard_normal(6)
     w = rng.uniform(0.5, 2.0, (6, 5))
-    assert hat_trace_v(u, w, zero_spec(6, 5, rng)) == pytest.approx(5.0, rel=1e-12)
+    kernel = ConditionalKernel(np.zeros((6, 5)), u, w, zero_spec(6, 5, rng))
+    assert kernel.trace(0.0) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_hat_trace_matches_explicit_hat_matrix():
@@ -123,7 +119,7 @@ def test_hat_trace_matches_explicit_hat_matrix():
     u = rng.standard_normal(4)
     w = rng.uniform(0.2, 2.0, (4, 3))
     spec = TwoWayPenaltySpec(random_psd(rng, 4), random_psd(rng, 3), 0.6, 0.25)
-    got = hat_trace_v(u, w, spec)
+    got = ConditionalKernel(X, u, w, spec).trace(spec.lambda_v)
     want = dense_hat_trace_v(X, u, w, spec)  # trace of the explicit 12x12 hat matrix
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -134,7 +130,7 @@ def test_hat_trace_u_matches_dense():
     v = rng.standard_normal(4)
     w = rng.uniform(0.2, 2.0, (5, 4))
     spec = TwoWayPenaltySpec(random_psd(rng, 5), random_psd(rng, 4), 0.3, 0.8)
-    got = hat_trace_u(v, w, spec)
+    got = ConditionalKernel.for_u(X, v, w, spec).trace(spec.lambda_u)
     xt, wt, sw = mirror(X, w, spec)
     want = dense_hat_trace_v(xt, v, wt, sw)
     assert got == pytest.approx(want, rel=1e-10)
@@ -148,9 +144,8 @@ def test_hat_trace_monotone_in_lambda_and_shrinks_below_n():
     omega_u = build_roughness_penalty(np.linspace(0, 1, m))
     omega_v = build_roughness_penalty(np.linspace(0, 1, n))
     lams = np.logspace(-8, 10, 19)
-    traces = np.array([
-        hat_trace_v(u, w, TwoWayPenaltySpec(omega_u, omega_v, 0.0, lam)) for lam in lams
-    ])
+    kernel = ConditionalKernel(np.zeros((m, n)), u, w, TwoWayPenaltySpec(omega_u, omega_v))
+    traces = np.array([kernel.trace(lam) for lam in lams])
     well_conditioned = lams <= 1e4
     assert np.all(np.diff(traces[well_conditioned]) <= 1e-9)
     # beyond that the solves approach the precision limit; allow roundoff blips
@@ -183,7 +178,8 @@ def test_small_instance_suite_oracle_equivalence(small_suite):
         np.testing.assert_allclose(got_u, want_u, rtol=1e-10,
                                    atol=1e-10 * max(1.0, np.abs(want_u).max()))
 
-        got_tr = hat_trace_v(inst.u, inst.weights, inst.spec)
+        kernel = ConditionalKernel(inst.values, inst.u, inst.weights, inst.spec)
+        got_tr = kernel.trace(inst.spec.lambda_v)
         want_tr = dense_hat_trace_v(inst.values, inst.u, inst.weights, inst.spec)
         assert got_tr == pytest.approx(want_tr, rel=1e-10)
 
@@ -194,6 +190,6 @@ def test_hat_trace_zero_weight_error_names_index():
     w[:, 1] = 0.0  # column 1 has no weight, even though lambda_u couples it
     spec = TwoWayPenaltySpec(random_psd(rng, 4), random_psd(rng, 3), 0.5, 0.5)
     with pytest.raises(ValueError, match=r"zero total weight at index\(es\) \[1\]"):
-        hat_trace_v(rng.standard_normal(4), w, spec)
+        ConditionalKernel(np.zeros((4, 3)), rng.standard_normal(4), w, spec)
     with pytest.raises(ValueError, match=r"zero total weight at index\(es\) \[1\]"):
-        hat_trace_u(rng.standard_normal(4), w.T, spec.swapped())
+        ConditionalKernel.for_u(np.zeros((3, 4)), rng.standard_normal(4), w.T, spec.swapped())
