@@ -21,16 +21,16 @@ from .robust import (
 from .penalties import (
     TwoWayPenaltySpec,
     build_roughness_penalty,
-    conditional_penalty_v,
     two_way_penalty,
 )
 from .splines import SplineFunction, evaluate, interpolate
 from .updates import (
+    ConditionalKernel,
     DegenerateSystemError,
     update_u_given_v,
     update_v_given_u,
 )
-from .selection import ConditionalKernel, GcvRecord, GcvTrace, LambdaGrid, select_lambda
+from .selection import GcvRecord, GcvTrace, LambdaGrid, select_lambda
 from .decompose import (
     ComponentPair,
     Decomposition,
@@ -74,11 +74,11 @@ __all__ = [
     "DEFAULT_THETA", "RobustLossSpec", "estimate_scale_mad",
     "huber_psi", "huber_rho", "huber_weight", "squared_loss_spec",
     "TwoWayPenaltySpec", "build_roughness_penalty",
-    "two_way_penalty", "conditional_penalty_v",
+    "two_way_penalty",
     "SplineFunction", "evaluate", "interpolate",
-    "DegenerateSystemError",
+    "ConditionalKernel", "DegenerateSystemError",
     "update_u_given_v", "update_v_given_u",
-    "ConditionalKernel", "GcvRecord", "GcvTrace", "LambdaGrid", "select_lambda",
+    "GcvRecord", "GcvTrace", "LambdaGrid", "select_lambda",
     "ComponentPair", "Decomposition", "FitOptions", "fit",
     "fit_rank_one_robrsvd", "fit_rank_one_rsvd", "fit_rank_one_svd", "huber_objective",
     "ImputationOptions", "ImputationState", "fit_with_missing",

@@ -19,11 +19,11 @@ import scipy
 
 from . import __version__
 from .dataio import MatrixFile, format_number, load, log_transform, save, save_json
-from .decompose import METHODS, FitOptions, fit, fit_start
+from .decompose import METHODS, FitOptions, fit, fit_start, spline_penalties
 from .imputation import ImputationOptions, initial_fill
 from .robust import DEFAULT_THETA, RobustLossSpec
-from .selection import ConditionalKernel, GcvTrace, LambdaGrid, select_lambda
-from .penalties import TwoWayPenaltySpec, build_roughness_penalty
+from .selection import GcvTrace, LambdaGrid, select_lambda
+from .penalties import TwoWayPenaltySpec
 from .simulate import (
     SimScenario,
     run_benchmark,
@@ -32,6 +32,7 @@ from .simulate import (
     CONTAMINATIONS,
 )
 from .splines import interpolate
+from .updates import ConditionalKernel
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +259,13 @@ def cmd_gcv_trace(cfg: dict) -> int:
     if not cfg["input"]:
         raise ValueError("gcv-trace needs an input file")
     X = load(_matrix_file(cfg))
+    # both smoothing parameters start at 0, so the other side is unpenalized
+    spec = TwoWayPenaltySpec(*spline_penalties(X))
     values = initial_fill(X, ImputationOptions().init)
     loss = _loss(cfg)
     s, u, v, sigma = fit_start(values, loss)
     weights = loss.weights(values - s * np.outer(u, v), sigma)
 
-    # both smoothing parameters start at 0, so the other side is unpenalized
-    spec = TwoWayPenaltySpec(build_roughness_penalty(X.row_grid), build_roughness_penalty(X.col_grid))
     if cfg["trace"] == "v":
         kernel = ConditionalKernel(values, u, weights, spec)
     else:

@@ -23,8 +23,8 @@ from . import imputation as imputing
 from .matrices import ObservedMatrix, ResidualMatrix
 from .penalties import TwoWayPenaltySpec, build_roughness_penalty, two_way_penalty
 from .robust import RobustLossSpec, estimate_scale_mad, huber_rho, squared_loss_spec
-from .selection import ConditionalKernel, LambdaGrid, select_lambda
-from .updates import update_u_given_v, update_v_given_u
+from .selection import LambdaGrid, select_lambda
+from .updates import ConditionalKernel, update_u_given_v, update_v_given_u
 
 __all__ = [
     "METHODS",
@@ -37,6 +37,7 @@ __all__ = [
     "fit_rank_one_robrsvd",
     "fit_start",
     "huber_objective",
+    "spline_penalties",
 ]
 
 # plain SVD, squared-loss regularized SVD, Huber-loss regularized SVD
@@ -164,9 +165,8 @@ def fit_start(values: np.ndarray, loss: RobustLossSpec) -> tuple[float, np.ndarr
     return s, u, v, sigma
 
 
-def _build_omegas(X: ObservedMatrix, omegas) -> tuple[np.ndarray, np.ndarray]:
-    if omegas is not None:
-        return omegas
+def spline_penalties(X: ObservedMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The spline penalty pair (Omega_u, Omega_v) on the row and column grids of X."""
     if min(X.shape) < 3:
         raise ValueError(
             f"a spline penalty needs at least 3 rows and 3 columns, got {X.shape[0]}x{X.shape[1]}"
@@ -290,7 +290,7 @@ def fit_rank_one_robrsvd(
     loss = RobustLossSpec() if loss is None else loss
     grid = LambdaGrid.log_default() if penalty_grid is None else penalty_grid
     opts = FitOptions() if opts is None else opts
-    return _irls_rank_one(X.values, _build_omegas(X, omegas), loss, grid, opts)
+    return _irls_rank_one(X.values, spline_penalties(X) if omegas is None else omegas, loss, grid, opts)
 
 
 def fit_rank_one_rsvd(
@@ -357,7 +357,7 @@ def fit(
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank must be between 1 and {min(m, n)}, got {rank}")
     _check_method(method)
-    omegas = None if method == "svd" else _build_omegas(X, None)
+    omegas = None if method == "svd" else spline_penalties(X)
 
     components = []
     resid = X.values.copy()

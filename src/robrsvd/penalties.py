@@ -4,7 +4,9 @@ The default penalty matrix Omega represents the integrated squared second
 derivative of the natural cubic spline interpolant: f' Omega f equals
 int (g'')^2 for the interpolant g of f at the grid points. It is built in
 closed form from consecutive grid gaps via the classic Q/R decomposition of
-the second-difference operator. It is the only penalty the fits use.
+the second-difference operator. It is the only penalty the fits use. The
+conditional system that the two-way penalty induces on one vector when the
+other is fixed is formed in ``updates.ConditionalKernel``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ __all__ = [
     "TwoWayPenaltySpec",
     "build_roughness_penalty",
     "two_way_penalty",
-    "conditional_penalty_v",
 ]
 
 
@@ -132,21 +133,3 @@ def two_way_penalty(u: np.ndarray, v: np.ndarray, spec: TwoWayPenaltySpec) -> fl
     pu = spec.lambda_u * float(u @ spec.omega_u @ u)
     pv = spec.lambda_v * float(v @ spec.omega_v @ v)
     return pu * float(v @ v) + pv * float(u @ u) + pu * pv
-
-
-def conditional_penalty_v(u: np.ndarray, spec: TwoWayPenaltySpec) -> np.ndarray:
-    """Effective quadratic penalty on v when u is held fixed.
-
-    Returns u'(I + lam_u Ou)u * (I + lam_v Ov) - (u'u) I, the n-by-n matrix
-    whose quadratic form in v equals the joint two-way penalty at fixed u.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (spec.omega_u.shape[0],):
-        raise ValueError("u length must match omega_u")
-    uu = float(u @ u)
-    alpha = uu + spec.lambda_u * float(u @ spec.omega_u @ u)
-    n = spec.omega_v.shape[0]
-    out = (alpha * spec.lambda_v) * spec.omega_v
-    out[np.diag_indices(n)] += alpha - uu
-    return out
-

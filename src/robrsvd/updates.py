@@ -1,4 +1,4 @@
-"""Conditional penalized weighted least-squares updates.
+"""The conditional penalized weighted least-squares system of each half-step.
 
 For fixed u, the weighted criterion in v has normal equations
 
@@ -7,20 +7,23 @@ For fixed u, the weighted criterion in v has normal equations
 where U is the block-diagonal stack of u and Y the column-stacked data. The
 block structure collapses U'WU to the diagonal sum_i u_i^2 w_ij and U'WY to
 sum_i u_i w_ij x_ij, so no mn-sized matrix is ever materialized; the systems
-solved here are only n-by-n (or m-by-m for the mirrored update). Each update
-is one Cholesky solve. Hat traces and GCV scores come from
-``selection.ConditionalKernel``, which builds on ``design_v`` below.
+are only n-by-n (or m-by-m for the mirrored update). ``ConditionalKernel``
+is the one place that forms this system: it returns its solution (one
+Cholesky solve), its hat trace and its GCV score.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .matrices import ObservedMatrix
-from .penalties import TwoWayPenaltySpec, conditional_penalty_v
+from .penalties import TwoWayPenaltySpec
 
 __all__ = [
+    "ConditionalKernel",
     "DegenerateSystemError",
     "update_v_given_u",
     "update_u_given_v",
@@ -28,7 +31,7 @@ __all__ = [
 
 
 class DegenerateSystemError(ValueError):
-    """A conditional system is singular (zero weights, no penalty coupling) or its
+    """A conditional system is singular (zero total weight at an index) or its
     penalty is not nonnegative definite."""
 
 
@@ -51,40 +54,116 @@ def design_v(X, u: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
     return d, b
 
 
-def _factor_conditional(d: np.ndarray, omega_cond: np.ndarray, side: str):
-    """Cholesky factor of diag(d) + 2*omega_cond with a named failure mode."""
-    a = 2.0 * omega_cond
-    a[np.diag_indices_from(a)] += d
-    try:
-        return cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        dead = np.flatnonzero(d == 0)
-        if dead.size:
+class ConditionalKernel:
+    """The v-update system at every candidate lambda_v: solution, hat trace, GCV score.
+
+    With u, the weights and lambda_u fixed, the v-update system is
+    diag(d) + 2 Omega_{v|u} = diag(e) + 2 alpha lam Omega_v, where
+    alpha = u'(I + lambda_u Omega_u)u and e = d + 2(alpha - u'u); u'Omega_u u
+    is clipped at 0, so that rounding cannot make e fall below d.
+    ``solve`` factors the system by Cholesky. ``trace`` and ``score`` share
+    one eigendecomposition diag(e)^-1/2 Omega_v diag(e)^-1/2 = P diag(mu) P'
+    (the Demmler-Reinsch basis), made on their first call: with
+    G = diag(e)^-1/2 P and f = 1 / (1 + 2 alpha lam mu), the inverse is
+    G diag(f) G', so each candidate costs O(n^2) instead of a factorization.
+    ``ConditionalKernel.for_u`` gives the u-update's kernel. Raises
+    DegenerateSystemError naming the indices whose total weight is zero.
+    """
+
+    def __init__(self, X, u, weights, spec: TwoWayPenaltySpec):
+        u = np.asarray(u, dtype=float)
+        d, b = design_v(X, u, weights)
+        if spec.omega_u.shape[0] != u.size or spec.omega_v.shape[0] != d.size:
+            raise ValueError("penalty matrices must match the data's rows and columns")
+        if np.any(d <= 0):
+            dead = np.flatnonzero(d <= 0)
             raise DegenerateSystemError(
-                f"conditional update is singular: all weights are zero at "
-                f"{side}(s) {dead.tolist()} and the penalty does not couple them"
-            ) from exc
-        raise DegenerateSystemError("conditional update is singular") from exc
+                f"unpenalized update undefined: zero total weight at index(es) {dead.tolist()}"
+            )
+        uu = float(u @ u)
+        # u'Omega_u u >= 0; clipping its rounding keeps e >= d > 0
+        alpha = uu + spec.lambda_u * max(float(u @ spec.omega_u @ u), 0.0)
+        self._d, self._b, self._omega = d, b, spec.omega_v
+        self._alpha, self._ridge = alpha, alpha - uu
+        self._e = d + 2.0 * self._ridge
 
+    @classmethod
+    def for_u(cls, X, v, weights, spec: TwoWayPenaltySpec) -> "ConditionalKernel":
+        """The u-update's kernel at every candidate lambda_u, through the rows-for-columns mirror."""
+        return cls(_as_data(X).T, v, np.asarray(weights, dtype=float).T, spec.swapped())
 
-def _solve_v(X, u, weights, spec: TwoWayPenaltySpec, side: str) -> np.ndarray:
-    d, b = design_v(X, u, weights)
-    factor = _factor_conditional(d, conditional_penalty_v(u, spec), side)
-    return cho_solve(factor, b, check_finite=False)
+    def solve(self, lam: float) -> np.ndarray:
+        """The penalized update at ``lam``: (diag(d) + 2 Omega_{v|u}) v = b."""
+        a = (self._alpha * lam) * self._omega
+        diagonal = slice(None, None, self._d.size + 1)
+        a.flat[diagonal] += self._ridge
+        a *= 2.0
+        a.flat[diagonal] += self._d
+        try:
+            factor = cho_factor(a, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateSystemError("conditional update is singular") from exc
+        return cho_solve(factor, self._b, check_finite=False)
+
+    @cached_property
+    def _sweep(self) -> tuple:
+        # (c, rate, n - trace terms, G, G'b, b/e - b/d) of the Demmler-Reinsch basis
+        d, e = self._d, self._e
+        scale = 1.0 / np.sqrt(e)
+        scaled = self._omega * scale
+        scaled *= scale[:, None]
+        mu, g = eigh(scaled, overwrite_a=True, check_finite=False)
+        del scaled
+        if mu[0] < -1e-10 * max(float(np.abs(mu).max()), 1.0):
+            raise DegenerateSystemError(
+                f"penalty is not nonnegative definite: eigenvalue {mu[0]:.3e} of the scaled omega"
+            )
+        g *= scale[:, None]
+        rate = 2.0 * self._alpha * np.maximum(mu, 0.0)
+        c = d @ np.square(g)
+        # n - trace = sum_k c_k (1 - f_k) + sum_j (e_j - d_j) / e_j, which keeps
+        # the GCV denominator accurate where the trace is close to n
+        free = (c * rate, float(np.sum(2.0 * self._ridge / e)))
+        # b/e - b/d, the part of v_hat - b/d that does not depend on lam
+        shift = -2.0 * self._ridge * self._b / (e * d)
+        return c, rate, free, g, g.T @ self._b, shift
+
+    def trace(self, lam: float) -> float:
+        """Hat-matrix trace sum_k c_k f_k, with c = d'(G o G): the update's
+        effective degrees of freedom, n when both penalties are off."""
+        c, rate = self._sweep[:2]
+        return float(c @ (1.0 / (1.0 + lam * rate)))
+
+    def score(self, lam: float) -> tuple[float, float]:
+        """(GCV score, hat trace) at ``lam``; +inf once the trace reaches n.
+
+        The score is the squared distance of the penalized update from the
+        unpenalized one (b/d), over n, normalized by (1 - trace/n)^2. +inf
+        is the 0/0 guard hit when both smoothing parameters are 0.
+        """
+        c, rate, (free_rate, free_base), g, gb, shift = self._sweep
+        f = 1.0 / (1.0 + lam * rate)
+        trace = float(c @ f)
+        n = self._d.size
+        # 1 - f = lam rate f, so neither n - trace nor v_hat - b/d below is
+        # formed as a difference of nearly equal numbers
+        free = (lam * float(free_rate @ f) + free_base) / n
+        if free <= 1e-12:
+            return np.inf, trace
+        # v_hat - b/d = G((f - 1) o G'b) + (b/e - b/d)
+        gap = g @ (gb * (-lam * rate * f)) + shift
+        return float(gap @ gap) / n / free ** 2, trace
 
 
 def update_v_given_u(X, u: np.ndarray, weights, spec: TwoWayPenaltySpec) -> np.ndarray:
     """Minimizer of the penalized weighted criterion in v for fixed u.
 
     Weights must be zero at masked cells; those cells then drop out of both
-    sides of the normal equations.
+    sides of the normal equations. Every column needs some positive weight.
     """
-    return _solve_v(X, u, weights, spec, "column")
+    return ConditionalKernel(X, u, weights, spec).solve(spec.lambda_v)
 
 
 def update_u_given_v(X, v: np.ndarray, weights, spec: TwoWayPenaltySpec) -> np.ndarray:
     """Mirror of :func:`update_v_given_u`: rows and columns swap roles."""
-    values = _as_data(X)
-    w = np.asarray(weights, dtype=float)
-    return _solve_v(values.T, v, w.T, spec.swapped(), "row")
-
+    return ConditionalKernel.for_u(X, v, weights, spec).solve(spec.lambda_u)

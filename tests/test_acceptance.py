@@ -24,7 +24,7 @@ from robrsvd.imputation import ImputationOptions, fit_with_missing
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, two_way_penalty, build_roughness_penalty
 from robrsvd.robust import RobustLossSpec, squared_loss_spec
-from robrsvd.selection import ConditionalKernel, LambdaGrid
+from robrsvd.selection import LambdaGrid
 from robrsvd.simulate import (
     SimScenario,
     generate,
@@ -33,7 +33,7 @@ from robrsvd.simulate import (
     run_benchmark,
 )
 from robrsvd.splines import interpolate
-from robrsvd.updates import update_u_given_v, update_v_given_u
+from robrsvd.updates import ConditionalKernel, update_u_given_v, update_v_given_u
 from conftest import dense_gcv_v, dense_hat_trace_v, dense_update_v, mirror
 
 

@@ -152,6 +152,13 @@ def test_gcv_trace_single_point_grid(tmp_path):
     assert float(rows[1][0]) == pytest.approx(0.5)
 
 
+def test_gcv_trace_names_a_matrix_too_small_for_a_spline_penalty(tmp_path, capsys):
+    path = tmp_path / "two_by_two.csv"
+    path.write_text("r,0,1\n0,3.0,0.4\n1,0.7,1.0\n")
+    assert main(["gcv-trace", str(path), "--out", str(tmp_path / "trace.csv")]) == 1
+    assert "a spline penalty needs at least 3 rows and 3 columns, got 2x2" in capsys.readouterr().err
+
+
 def test_gcv_trace_matches_dense_oracle_on_tiny_instance(tmp_path):
     rng = np.random.default_rng(12)
     values = rng.uniform(1.0, 2.0, (4, 3))

@@ -161,6 +161,19 @@ def test_svd_fitter_on_zero_matrix(m, n):
     assert pair.converged
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 11), c=st.sampled_from([1e-3, 0.37, 7.0, 1e3]))
+def test_robrsvd_scales_with_input(seed, c):
+    # sigma scales with X and GCV is scale-free, so the whole loop is equivariant
+    X = generate(SimScenario(grid_size=(30, 25), contamination="outlying_rows", seed=seed)).data.values
+    pair, scaled = fit_rank_one_robrsvd(X), fit_rank_one_robrsvd(c * X)
+    assert scaled.s == pytest.approx(c * pair.s, rel=1e-8)
+    np.testing.assert_allclose(scaled.u, pair.u, atol=1e-8)
+    np.testing.assert_allclose(scaled.v, pair.v, atol=1e-8)
+    assert (scaled.lambda_u, scaled.lambda_v) == (pair.lambda_u, pair.lambda_v)
+    assert scaled.iterations == pair.iterations
+
+
 def test_unit_norms_and_sign_convention():
     rng = np.random.default_rng(76)
     X = rng.standard_normal((9, 7))

@@ -6,9 +6,9 @@ from scipy.interpolate import CubicSpline
 from robrsvd.penalties import (
     TwoWayPenaltySpec,
     build_roughness_penalty,
-    conditional_penalty_v,
     two_way_penalty,
 )
+from robrsvd.updates import ConditionalKernel
 from conftest import dense_conditional_penalty_v, random_psd
 
 
@@ -115,40 +115,16 @@ def test_conditional_penalty_v_reductions():
     m, n = 5, 6
     omega_u, omega_v = random_psd(rng, m), random_psd(rng, n)
     u = rng.standard_normal(m)
+    X = rng.standard_normal((m, n))
+    w = rng.uniform(0.5, 2.0, (m, n))
+    d, b = (u * u) @ w, u @ (w * X)
 
-    zero = conditional_penalty_v(u, TwoWayPenaltySpec(omega_u, omega_v, 0.0, 0.0))
-    np.testing.assert_allclose(zero, 0.0, atol=1e-14)
+    zero = ConditionalKernel(X, u, w, TwoWayPenaltySpec(omega_u, omega_v, 0.0, 0.0))
+    np.testing.assert_allclose(zero.solve(0.0), b / d, rtol=1e-12)
 
     lam_u = 0.8
-    ridge = conditional_penalty_v(u, TwoWayPenaltySpec(omega_u, omega_v, lam_u, 0.0))
-    np.testing.assert_allclose(ridge, lam_u * (u @ omega_u @ u) * np.eye(n), rtol=1e-12)
-
-
-def test_conditional_penalties_match_dense_formula():
-    rng = np.random.default_rng(18)
-    for _ in range(8):
-        m, n = int(rng.integers(3, 8)), int(rng.integers(3, 8))
-        spec = TwoWayPenaltySpec(random_psd(rng, m), random_psd(rng, n),
-                                 float(rng.random()), float(rng.random()))
-        u = rng.standard_normal(m)
-        v = rng.standard_normal(n)
-        got = conditional_penalty_v(u, spec)
-        want = dense_conditional_penalty_v(u, spec)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        got_u = conditional_penalty_v(v, spec.swapped())
-        want_u = dense_conditional_penalty_v(v, spec.swapped())
-        np.testing.assert_allclose(got_u, want_u, rtol=1e-12, atol=1e-12 * np.abs(want_u).max())
-
-
-def test_conditional_penalty_nonnegative_definite():
-    rng = np.random.default_rng(19)
-    for _ in range(10):
-        spec = TwoWayPenaltySpec(random_psd(rng, 6), random_psd(rng, 5),
-                                 float(rng.random() * 2), float(rng.random() * 2))
-        u = rng.standard_normal(6)
-        omega = conditional_penalty_v(u, spec)
-        eigs = np.linalg.eigvalsh(omega)
-        assert eigs[0] >= -1e-10 * max(eigs[-1], 1.0)
+    ridge = ConditionalKernel(X, u, w, TwoWayPenaltySpec(omega_u, omega_v, lam_u, 0.0))
+    np.testing.assert_allclose(ridge.solve(0.0), b / (d + 2.0 * lam_u * (u @ omega_u @ u)), rtol=1e-12)
 
 
 def test_conditional_penalty_quadratic_form_equals_joint_penalty():
@@ -156,9 +132,9 @@ def test_conditional_penalty_quadratic_form_equals_joint_penalty():
     spec = TwoWayPenaltySpec(random_psd(rng, 4), random_psd(rng, 6), 0.3, 1.7)
     u = rng.standard_normal(4)
     v = rng.standard_normal(6)
-    assert v @ conditional_penalty_v(u, spec) @ v == pytest.approx(
+    assert v @ dense_conditional_penalty_v(u, spec) @ v == pytest.approx(
         two_way_penalty(u, v, spec), rel=1e-12)
-    assert u @ conditional_penalty_v(v, spec.swapped()) @ u == pytest.approx(
+    assert u @ dense_conditional_penalty_v(v, spec.swapped()) @ u == pytest.approx(
         two_way_penalty(u, v, spec), rel=1e-12)
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
-from robrsvd.selection import ConditionalKernel, GcvTrace, LambdaGrid, select_lambda
-from robrsvd.updates import DegenerateSystemError, update_v_given_u
+from robrsvd.selection import GcvTrace, LambdaGrid, select_lambda
+from robrsvd.updates import ConditionalKernel, DegenerateSystemError, update_u_given_v, update_v_given_u
 from conftest import dense_gcv_v, dense_systems_v, mirror, random_psd
 
 
@@ -148,6 +148,16 @@ def test_lambda_grid_validation():
     assert 0.0 not in grid.values
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 1e4), (-1.0, 1.0), (1.0, 0.5), (1e-6, np.inf)])
+def test_log_default_rejects_bounds_before_logspace(lo, hi):
+    # log10(0) and nan arithmetic in logspace used to warn before the grid's
+    # own check rejected the result for a reason that did not name the bounds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=rf"0 < lo <= hi < inf, got lo={lo}, hi={hi}"):
+            LambdaGrid.log_default(lo, hi)
+
+
 def test_trace_csv_schema(tmp_path):
     scores = {0.1: 3.0, 1.0: 1.0}
     _, trace = select_lambda(LambdaGrid((0.1, 1.0)), lambda l: (scores[l], 4.2))
@@ -223,10 +233,10 @@ def test_kernel_rejects_indefinite_penalty():
     omega_v = q @ np.diag([2.0, 1.0, 0.5, -0.1]) @ q.T
     spec = TwoWayPenaltySpec(random_psd(rng, 5), omega_v, 0.0, 1.0)
     with pytest.raises(DegenerateSystemError, match="not nonnegative definite"):
-        ConditionalKernel(X, u, w, spec)
+        ConditionalKernel(X, u, w, spec).trace(1.0)
 
 
-def test_kernel_clips_rounding_level_negative_penalty_of_the_fixed_side():
+def linear_u_in_null_space():
     # a linear u lies in the spline penalty's null space, where u'Omega_u u
     # is rounding; a -1e-10 shift (under 1e-15 of the largest entry) makes it
     # negative on any platform. With near-zero weights an unclipped
@@ -236,14 +246,30 @@ def test_kernel_clips_rounding_level_negative_penalty_of_the_fixed_side():
     omega_u = build_roughness_penalty(grid) - 1e-10 * np.outer(u, u)
     spec = TwoWayPenaltySpec(omega_u, build_roughness_penalty(np.linspace(0, 1, 6)), 1.0)
     assert u @ spec.omega_u @ u < 0.0
-    X = np.outer(u, np.arange(6.0))
+    return np.outer(u, np.arange(6.0)), u, np.full((30, 6), 1e-16), spec
+
+
+def test_kernel_clips_rounding_level_negative_penalty_of_the_fixed_side():
+    X, u, w, spec = linear_u_in_null_space()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kernel = ConditionalKernel(X, u, np.full(X.shape, 1e-16), spec)
+        kernel = ConditionalKernel(X, u, w, spec)
         traces = [kernel.trace(lam) for lam in (0.0, 1.0, 1e4)]
         assert np.isfinite(kernel.score(1.0)[0])
     assert traces[0] == pytest.approx(6.0, rel=1e-12)
     assert 0.0 < traces[2] <= traces[1] <= traces[0]
+
+
+def test_solve_clips_rounding_level_negative_penalty_of_the_fixed_side():
+    # the solve forms the system the sweep scores: at lambda_v = 0 the
+    # clipped penalty vanishes and both updates are the unpenalized b/d
+    X, u, w, spec = linear_u_in_null_space()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = update_v_given_u(X, u, w, spec)
+        u_mirror = update_u_given_v(X.T, u, w.T, spec.swapped())
+    np.testing.assert_allclose(v, np.arange(6.0), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(u_mirror, np.arange(6.0), rtol=1e-12, atol=1e-12)
 
 
 def test_kernel_clips_rounding_level_negative_eigenvalues():

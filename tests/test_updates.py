@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import robrsvd.decompose
+import robrsvd.updates
+from robrsvd.decompose import FitOptions, fit_rank_one_robrsvd
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import huber_weight
-from robrsvd.selection import ConditionalKernel
-from robrsvd.updates import DegenerateSystemError, update_u_given_v, update_v_given_u
+from robrsvd.updates import ConditionalKernel, DegenerateSystemError, update_u_given_v, update_v_given_u
 from conftest import (
     dense_gcv_v,
     dense_hat_trace_v,
@@ -193,3 +195,25 @@ def test_hat_trace_zero_weight_error_names_index():
         ConditionalKernel(np.zeros((4, 3)), rng.standard_normal(4), w, spec)
     with pytest.raises(ValueError, match=r"zero total weight at index\(es\) \[1\]"):
         ConditionalKernel.for_u(np.zeros((3, 4)), rng.standard_normal(4), w.T, spec.swapped())
+
+
+def test_a_solve_computes_no_eigendecomposition(monkeypatch):
+    # only a selecting half-step sweeps the grid; every half-step solves
+    calls = {"eigh": 0, "solve": 0}
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(robrsvd.updates, "eigh", "eigh")
+    counted(robrsvd.decompose, "update_v_given_u", "solve")
+    counted(robrsvd.decompose, "update_u_given_v", "solve")
+    X = np.random.default_rng(53).standard_normal((20, 16)) + 5.0 * np.outer(
+        np.linspace(1.0, 2.0, 20), np.sin(np.linspace(0.0, 3.0, 16)))
+    pair = fit_rank_one_robrsvd(X, opts=FitOptions(tol=0.0, max_iter=3, lambda_freeze_after=1))
+    assert pair.iterations == 3
+    assert calls == {"eigh": 2, "solve": 6}
