@@ -343,7 +343,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--methods", default=",".join(METHODS), help="comma list of " + ",".join(METHODS))
     p.add_argument("--replications", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="worker processes on Linux, else in-process; same numbers")
     p.add_argument("--mask-count", type=int, default=0)
     p.add_argument("--out", default="simulate_out")
     p.add_argument("--output-format", choices=["csv", "json", "both"], default="csv")

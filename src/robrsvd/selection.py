@@ -46,6 +46,9 @@ class LambdaGrid:
         """Log-spaced default grid; excludes an exact 0, where GCV degenerates to 0/0."""
         if not 0.0 < lo <= hi < np.inf:
             raise ValueError(f"a log-spaced lambda grid needs 0 < lo <= hi < inf, got lo={lo}, hi={hi}")
+        if num < 1 or (num == 1) != (lo == hi):
+            raise ValueError("a log-spaced lambda grid needs num >= 1, and num == 1 exactly when lo == hi, "
+                             f"got lo={lo}, hi={hi}, num={num}")
         return cls(tuple(np.logspace(np.log10(lo), np.log10(hi), num)))
 
 

@@ -12,8 +12,12 @@ ambiguity of singular vectors.
 from __future__ import annotations
 
 import csv
+import functools
 import json
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -272,28 +276,37 @@ def _replication_seed(base_seed: int, scenario_index: int, replication: int) -> 
     return int(ss.generate_state(1)[0])
 
 
-def _one_replication(scenario, scenario_index, method, replication, base_seed,
-                     mask_count, loss, penalty_grid, opts):
-    seed = _replication_seed(base_seed, scenario_index, replication)
-    result = generate(replace(scenario, seed=seed))
-    if mask_count:
-        result = mask_random(result, mask_count, seed=_replication_seed(base_seed + 1, scenario_index, replication))
-    decomp = fit(result.data, method=method, rank=scenario.rank,
-                 loss=loss, penalty_grid=penalty_grid, opts=opts)
+def _one_replication(job, base_seed, mask_count, loss, penalty_grid, opts):
+    """(metrics, None) or (None, error text) of one (scenario index, scenario, method, rep) job."""
+    scenario_index, scenario, method, replication = job
+    try:
+        seed = _replication_seed(base_seed, scenario_index, replication)
+        result = generate(replace(scenario, seed=seed))
+        if mask_count:
+            result = mask_random(result, mask_count, seed=_replication_seed(base_seed + 1, scenario_index, replication))
+        decomp = fit(result.data, method=method, rank=scenario.rank,
+                     loss=loss, penalty_grid=penalty_grid, opts=opts)
 
-    truth = result.truth
-    metrics = {}
-    if scenario.rank == 1:
-        pair = decomp.components[0]
-        metrics["l2_u"] = metric_l2(pair.u, truth.left[:, 0])
-        metrics["l2_v"] = metric_l2(pair.v, truth.right[:, 0])
-        metrics["s_abs_error"] = metric_singular_value(pair.s, truth.singular_values[0])
-        metrics["frobenius"] = metric_frobenius(decomp.reconstruction(), truth.signal)
-    else:
-        metrics["frobenius"] = metric_frobenius(decomp.reconstruction(), truth.signal)
-        metrics["principal_angle_left"] = metric_principal_angle(decomp.left_vectors(), truth.left)
-        metrics["principal_angle_right"] = metric_principal_angle(decomp.right_vectors(), truth.right)
-    return metrics
+        truth = result.truth
+        metrics = {}
+        if scenario.rank == 1:
+            pair = decomp.components[0]
+            metrics["l2_u"] = metric_l2(pair.u, truth.left[:, 0])
+            metrics["l2_v"] = metric_l2(pair.v, truth.right[:, 0])
+            metrics["s_abs_error"] = metric_singular_value(pair.s, truth.singular_values[0])
+            metrics["frobenius"] = metric_frobenius(decomp.reconstruction(), truth.signal)
+        else:
+            metrics["frobenius"] = metric_frobenius(decomp.reconstruction(), truth.signal)
+            metrics["principal_angle_left"] = metric_principal_angle(decomp.left_vectors(), truth.left)
+            metrics["principal_angle_right"] = metric_principal_angle(decomp.right_vectors(), truth.right)
+    except Exception as exc:  # record, don't abort the sweep
+        return None, f"{type(exc).__name__}: {exc}"
+    return metrics, None
+
+
+def _worker_count(threads: int, jobs: int) -> int:
+    """Worker processes for a sweep: never more than the jobs or the usable cores."""
+    return min(threads, jobs, len(os.sched_getaffinity(0)))
 
 
 def run_benchmark(
@@ -310,13 +323,17 @@ def run_benchmark(
     """Monte Carlo comparison of methods across scenarios.
 
     Every (scenario, replication) pair gets its own seed derived from
-    ``base_seed``, so results are reproducible and independent of the thread
-    count or scheduling. All methods see the identical data draw within a
-    replication. A failed replication is recorded and skipped, never fatal.
+    ``base_seed``, so results are reproducible and the same at every worker
+    count. With ``threads > 1`` on Linux the jobs run on forked worker
+    processes, at most one per usable core, and the arguments must pickle;
+    elsewhere they run in this process. All methods see the identical data
+    draw within a replication. A failed replication is recorded and skipped,
+    never fatal.
     """
     if replications < 1:
         raise ValueError("replications must be at least 1")
-    scenarios = list(scenarios)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     methods = list(methods)
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
@@ -328,23 +345,18 @@ def run_benchmark(
         for method in methods
         for rep in range(replications)
     ]
-
-    def work(job):
-        si, scenario, method, rep = job
-        try:
-            return job, _one_replication(scenario, si, method, rep, base_seed,
-                                         mask_count, loss, penalty_grid, opts), None
-        except Exception as exc:  # record, don't abort the sweep
-            return job, None, f"{type(exc).__name__}: {exc}"
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, jobs))
+    work = functools.partial(_one_replication, base_seed=base_seed, mask_count=mask_count,
+                             loss=loss, penalty_grid=penalty_grid, opts=opts)
+    # fork by name: spawn and forkserver re-import __main__ and break unguarded scripts; macOS's fork is unsafe
+    workers = _worker_count(threads, len(jobs)) if sys.platform == "linux" else 1
+    if workers > 1:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            outcomes = list(pool.map(work, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
     else:
         outcomes = [work(job) for job in jobs]
 
     records, failures = [], []
-    for (si, scenario, method, rep), metrics, err in outcomes:
+    for (_, scenario, method, rep), (metrics, err) in zip(jobs, outcomes):
         if err is not None:
             failures.append({
                 "scenario": scenario.name, "method": method, "replication": rep, "error": err,

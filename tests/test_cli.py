@@ -122,6 +122,15 @@ def test_simulate_rejects_unknown_method(tmp_path):
     assert not (out / "summary.csv").exists()
 
 
+def test_simulate_rejects_threads_below_one(tmp_path, capsys):
+    out = tmp_path / "x"
+    rc = main(["simulate", "--scenario", "none", "--rows", "12", "--cols", "12",
+               "--replications", "1", "--threads", "-3", "--out", str(out)])
+    assert rc == 1
+    assert "threads must be at least 1, got -3" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
 def test_simulate_failures_saved_under_csv_output(tmp_path, monkeypatch, capsys):
     import robrsvd.simulate as simulate
 

@@ -158,6 +158,15 @@ def test_log_default_rejects_bounds_before_logspace(lo, hi):
             LambdaGrid.log_default(lo, hi)
 
 
+@pytest.mark.parametrize("lo, hi, num", [(1e-3, 10.0, 1), (1e-3, 10.0, 0), (1.0, 1.0, 3), (1.0, 1.0, -1)])
+def test_log_default_rejects_a_count_that_contradicts_the_bounds(lo, hi, num):
+    # a single point used to drop hi silently; the other cases failed on
+    # messages that named neither the bounds nor the count
+    with pytest.raises(ValueError, match=rf"got lo={lo}, hi={hi}, num={num}"):
+        LambdaGrid.log_default(lo, hi, num)
+    assert LambdaGrid.log_default(0.5, 0.5, 1).values == (0.5,)
+
+
 def test_trace_csv_schema(tmp_path):
     scores = {0.1: 3.0, 1.0: 1.0}
     _, trace = select_lambda(LambdaGrid((0.1, 1.0)), lambda l: (scores[l], 4.2))

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from robrsvd.simulate import (
     run_benchmark,
     write_summary_csv,
 )
+from robrsvd.simulate import _worker_count
 
 
 def test_clean_noise_free_surface_is_exact_rank_one():
@@ -180,11 +184,25 @@ def test_benchmark_noise_free_svd_is_exact():
 
 def test_benchmark_reproducible_and_thread_invariant():
     scen = SimScenario(grid_size=(15, 15), noise_variance=0.5, contamination="outlying_cells")
-    kwargs = dict(methods=("svd", "rsvd"), replications=3, base_seed=123)
-    a = run_benchmark([scen], threads=1, **kwargs)
-    b = run_benchmark([scen], threads=4, **kwargs)
-    assert a.summary == b.summary
-    assert a.records == b.records
+    # an 8x8 grid cannot host the 10x10 outlying block, so its replications fail
+    bad = SimScenario(grid_size=(8, 8), noise_variance=0.0, contamination="outlying_block")
+    for mask_count in (0, 10):
+        kwargs = dict(methods=("svd", "rsvd"), replications=3, base_seed=123, mask_count=mask_count)
+        a = run_benchmark([scen, bad], threads=1, **kwargs)
+        b = run_benchmark([scen, bad], threads=4, **kwargs)
+        assert multiprocessing.active_children() == []
+        assert a.summary == b.summary
+        assert a.records == b.records
+        assert len(a.failures) == 6
+        assert a.failures == b.failures
+
+
+def test_worker_count_is_bounded_by_jobs_and_cores():
+    # pure arithmetic: no pool is built, so no process starts
+    cores = len(os.sched_getaffinity(0))
+    assert _worker_count(10**6, 300) == min(300, cores)
+    assert _worker_count(10**6, 1) == 1
+    assert _worker_count(1, 300) == 1
 
 
 def test_benchmark_records_failures_without_aborting():
