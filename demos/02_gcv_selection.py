@@ -28,17 +28,21 @@ print(f"SVD initialization: s = {s:.1f}, MAD residual scale = {sigma:.3f}")
 spec = TwoWayPenaltySpec(build_roughness_penalty(X.row_grid),
                          build_roughness_penalty(X.col_grid))
 # one eigendecomposition of the weighted penalty serves every candidate: in
-# that basis the penalized update is diagonal in lambda
+# that basis the penalized update is diagonal in lambda, so the scores and
+# hat traces of the whole grid come out as two arrays
 kernel = ConditionalKernel(X, u, weights, spec)
 grid = LambdaGrid.log_default(1e-8, 1e2, 15)
-chosen, trace = select_lambda(grid, kernel.score)
+scores, traces = kernel.scores(grid)
+chosen, trace = select_lambda(grid, scores=scores, traces=traces)
 
 print(f"\n{'lambda':>12s} {'GCV':>14s} {'hat trace':>10s}")
 for rec in trace.records:
     marker = "  <-- chosen" if rec.chosen else ""
     print(f"{rec.lam:12.3e} {rec.score:14.6e} {rec.hat_trace:10.3f}{marker}")
 
-print(f"\nselected lambda_v = {chosen:.3e}")
+# the kernel that scored the grid also solves the update at the choice
+v_new = kernel.solve(chosen)
+print(f"\nselected lambda_v = {chosen:.3e}; the update's norm (next s) = {np.linalg.norm(v_new):.1f}")
 print("small lambdas keep all degrees of freedom (trace near n); large ones "
       "shrink toward the two-dimensional null space of the roughness penalty")
 

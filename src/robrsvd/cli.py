@@ -82,6 +82,9 @@ def write_manifest(out_dir, command: str, config: dict, filename: str = "manifes
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
+        # output bytes can depend on BLAS threading; null where unset
+        "blas_threads": {var: os.environ.get(var)
+                         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     path = filename if out_dir is None else os.path.join(out_dir, filename)
     with open(path, "w") as fh:
@@ -270,7 +273,9 @@ def cmd_gcv_trace(cfg: dict) -> int:
         kernel = ConditionalKernel(values, u, weights, spec)
     else:
         kernel = ConditionalKernel.for_u(values, v, weights, spec)
-    _, trace = select_lambda(_lambda_grid(cfg), kernel.score)
+    grid = _lambda_grid(cfg)
+    scores, traces = kernel.scores(grid)
+    _, trace = select_lambda(grid, scores=scores, traces=traces)
     trace.write_csv(cfg["out"])
     write_manifest(None, "gcv-trace", cfg, filename=cfg["out"] + ".manifest.json")
     return 0

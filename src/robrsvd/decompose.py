@@ -183,10 +183,17 @@ def _require_complete(X: ObservedMatrix, what: str) -> None:
         raise ValueError(f"{what} requires a complete matrix; use fit_with_missing for masked data")
 
 
+def _select_and_solve(kernel: ConditionalKernel, grid: LambdaGrid):
+    """(lambda, GcvTrace, update) of a selecting half-step: one eigendecomposition
+    scores the whole grid, and the same system solves at the chosen lambda."""
+    scores, traces = kernel.scores(grid)
+    lam, trace = select_lambda(grid, scores=scores, traces=traces)
+    return lam, trace, kernel.solve(lam)
+
+
 def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts: FitOptions) -> ComponentPair:
     values = np.asarray(values, dtype=float)
-    omega_u, omega_v = omegas
-    spec0 = TwoWayPenaltySpec(omega_u, omega_v)
+    spec0 = TwoWayPenaltySpec(*omegas)
 
     s, u, v, sigma = fit_start(values, loss)
     theta = float(loss.theta)
@@ -219,11 +226,10 @@ def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts:
 
         w = loss.weights(values - s * np.outer(u, v), sigma)
         if selecting:
-            # one eigendecomposition scores the whole grid; freed after the sweep
-            kernel = ConditionalKernel(values, u, w, spec0.with_lambdas(lambda_u=lam_u))
-            lam_v, trace_v = select_lambda(grid, kernel.score)
-            del kernel
-        v_new = update_v_given_u(values, u, w, spec0.with_lambdas(lam_u, lam_v))
+            lam_v, trace_v, v_new = _select_and_solve(
+                ConditionalKernel(values, u, w, spec0.with_lambdas(lambda_u=lam_u)), grid)
+        else:
+            v_new = update_v_given_u(values, u, w, spec0.with_lambdas(lam_u, lam_v))
         s_new = float(np.linalg.norm(v_new))
         if s_new == 0.0:
             s = 0.0
@@ -234,10 +240,10 @@ def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts:
 
         w = loss.weights(values - s * np.outer(u, v), sigma)
         if selecting:
-            kernel = ConditionalKernel.for_u(values, v, w, spec0.with_lambdas(lambda_v=lam_v))
-            lam_u, trace_u = select_lambda(grid, kernel.score)
-            del kernel
-        u_new = update_u_given_v(values, v, w, spec0.with_lambdas(lam_u, lam_v))
+            lam_u, trace_u, u_new = _select_and_solve(
+                ConditionalKernel.for_u(values, v, w, spec0.with_lambdas(lambda_v=lam_v)), grid)
+        else:
+            u_new = update_u_given_v(values, v, w, spec0.with_lambdas(lam_u, lam_v))
         s_new = float(np.linalg.norm(u_new))
         if s_new == 0.0:
             s = 0.0

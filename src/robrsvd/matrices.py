@@ -22,6 +22,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_mask(mask, shape: tuple, name: str) -> np.ndarray:
+    """The boolean mask, all observed when None."""
+    mask = np.ones(shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != shape:
+        raise ValueError(f"mask shape must match {name} shape")
+    return mask
+
+
 def _check_grid(grid: np.ndarray, length: int, name: str) -> None:
     if grid.ndim != 1 or grid.size != length:
         raise ValueError(f"{name} must be a 1-d array of length {length}")
@@ -60,23 +68,14 @@ class ObservedMatrix:
         if m < 2 or n < 2:
             raise ValueError("matrix must be at least 2x2")
 
-        mask = self.mask
-        if mask is None:
-            mask = np.ones((m, n), dtype=bool)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != (m, n):
-                raise ValueError("mask shape must match values shape")
-
+        mask = _check_mask(self.mask, (m, n), "values")
         if not np.all(np.isfinite(values[mask])):
             raise ValueError("observed values must be finite")
         # enforce the placeholder convention at masked cells
         values = np.where(mask, values, 0.0)
 
-        row_grid = self.row_grid
-        col_grid = self.col_grid
-        row_grid = np.linspace(0.0, 1.0, m) if row_grid is None else np.asarray(row_grid, dtype=float)
-        col_grid = np.linspace(0.0, 1.0, n) if col_grid is None else np.asarray(col_grid, dtype=float)
+        row_grid, col_grid = (np.linspace(0.0, 1.0, k) if g is None else np.asarray(g, dtype=float)
+                              for g, k in ((self.row_grid, m), (self.col_grid, n)))
         _check_grid(row_grid, m, "row_grid")
         _check_grid(col_grid, n, "col_grid")
 
@@ -117,13 +116,7 @@ class ResidualMatrix:
         r = np.asarray(self.residuals, dtype=float)
         if r.ndim != 2:
             raise ValueError("residuals must be a 2-d array")
-        mask = self.mask
-        if mask is None:
-            mask = np.ones(r.shape, dtype=bool)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != r.shape:
-                raise ValueError("mask shape must match residuals shape")
+        mask = _check_mask(self.mask, r.shape, "residuals")
         if not np.all(np.isfinite(r[mask])):
             raise ValueError("observed residuals must be finite")
         r = np.where(mask, r, 0.0)

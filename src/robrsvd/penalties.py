@@ -105,12 +105,8 @@ class TwoWayPenaltySpec:
         return spec
 
     def with_lambdas(self, lambda_u: float = None, lambda_v: float = None) -> "TwoWayPenaltySpec":
-        return self._derived(
-            self.omega_u,
-            self.omega_v,
-            self.lambda_u if lambda_u is None else lambda_u,
-            self.lambda_v if lambda_v is None else lambda_v,
-        )
+        return self._derived(self.omega_u, self.omega_v, self.lambda_u if lambda_u is None else lambda_u,
+                             self.lambda_v if lambda_v is None else lambda_v)
 
     def swapped(self) -> "TwoWayPenaltySpec":
         """Rows-for-columns mirror; lets every v-side formula serve the u side."""

@@ -123,9 +123,8 @@ class RobustLossSpec:
         _check_theta(self.theta)
         if self.sigma_source not in ("fixed", "mad_from_svd_residuals"):
             raise ValueError(f"unknown sigma_source {self.sigma_source!r}")
-        if self.sigma_source == "fixed":
-            if self.sigma is None or not float(self.sigma) > 0:
-                raise ValueError("fixed sigma must be a positive number")
+        if self.sigma_source == "fixed" and (self.sigma is None or not float(self.sigma) > 0):
+            raise ValueError("fixed sigma must be a positive number")
 
     def weights(self, residuals: np.ndarray, sigma: float) -> np.ndarray:
         """Weight matrix of the sigma-scaled residuals (0 stays 0 only via masks)."""

@@ -5,8 +5,9 @@ frozen at the current iteration: the squared distance between the penalized
 and unpenalized updates, normalized by the squared complement of the average
 hat-matrix trace. Selection is a plain grid search; the two parameters are
 decoupled because each score conditions on the other side's current value.
-This module holds the grid, the search and its record; the scores come from
-``updates.ConditionalKernel``, which forms each conditional system.
+This module holds the grid, the search and its record; the scores of the
+whole grid come as one array from ``updates.ConditionalKernel.scores``,
+which forms each conditional system.
 """
 
 from __future__ import annotations
@@ -78,29 +79,24 @@ class GcvTrace:
                 writer.writerow([repr(r.lam), repr(r.score), repr(r.hat_trace), int(r.chosen)])
 
 
-def select_lambda(grid: LambdaGrid, score) -> tuple[float, GcvTrace]:
-    """Evaluate ``score`` at every grid value and return the argmin with its trace.
+def select_lambda(grid: LambdaGrid, *, scores, traces) -> tuple[float, GcvTrace]:
+    """The grid value with the smallest finite GCV score, and the sweep's record.
 
-    ``score(lam)`` may return a bare number or a (score, hat_trace) pair.
-    Ties break toward the smaller lambda. Raises if no grid point yields a
-    finite score.
+    ``scores`` and ``traces`` hold one GCV score and one hat trace per grid
+    value, as ``ConditionalKernel.scores(grid)`` returns them. Ties break
+    toward the smaller lambda; NaN and infinite scores never win. Raises if
+    no grid point has a finite score.
     """
-    scores, traces = [], []
-    for lam in grid:
-        out = score(lam)
-        if isinstance(out, tuple):
-            s, tr = out
-        else:
-            s, tr = out, np.nan
-        scores.append(float(s))
-        traces.append(float(tr))
-    finite = [s for s in scores if np.isfinite(s)]
-    if not finite:
+    scores, traces = np.asarray(scores, dtype=float), np.asarray(traces, dtype=float)
+    if not scores.shape == traces.shape == (len(grid),):
+        raise ValueError(f"need one score and one trace per grid value ({len(grid)}), "
+                         f"got {scores.shape} and {traces.shape}")
+    finite = np.isfinite(scores)
+    if not finite.any():
         raise ValueError("GCV degenerate on grid: no candidate produced a finite score")
-    best = min(finite)
-    chosen_idx = next(i for i, s in enumerate(scores) if s == best)
+    chosen_idx = int(np.argmin(np.where(finite, scores, np.inf)))
     records = tuple(
         GcvRecord(lam, s, tr, i == chosen_idx)
-        for i, (lam, s, tr) in enumerate(zip(grid, scores, traces))
+        for i, (lam, s, tr) in enumerate(zip(grid.values, scores.tolist(), traces.tolist()))
     )
     return grid.values[chosen_idx], GcvTrace(records)

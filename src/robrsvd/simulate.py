@@ -16,6 +16,7 @@ import functools
 import json
 import multiprocessing
 import os
+import pickle
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -325,16 +326,16 @@ def run_benchmark(
     Every (scenario, replication) pair gets its own seed derived from
     ``base_seed``, so results are reproducible and the same at every worker
     count. With ``threads > 1`` on Linux the jobs run on forked worker
-    processes, at most one per usable core, and the arguments must pickle;
-    elsewhere they run in this process. All methods see the identical data
-    draw within a replication. A failed replication is recorded and skipped,
-    never fatal.
+    processes, at most one per usable core, and the arguments must pickle (a
+    ValueError names the first that does not); elsewhere they run in this
+    process. All methods see the identical data draw within a replication. A
+    failed replication is recorded and skipped, never fatal.
     """
     if replications < 1:
         raise ValueError("replications must be at least 1")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    methods = list(methods)
+    scenarios, methods = list(scenarios), list(methods)
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown method(s) {unknown}; expected one of {', '.join(METHODS)}")
@@ -347,6 +348,13 @@ def run_benchmark(
     ]
     work = functools.partial(_one_replication, base_seed=base_seed, mask_count=mask_count,
                              loss=loss, penalty_grid=penalty_grid, opts=opts)
+    if threads > 1 and sys.platform == "linux":  # workers get their arguments by pickle
+        for name, value in {**{f"scenarios[{i}]": s for i, s in enumerate(scenarios)}, **work.keywords}.items():
+            try:
+                pickle.dumps(value)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise ValueError(f"run_benchmark argument {name} does not pickle, so it cannot reach a "
+                                 f"worker process ({exc}); threads=1 runs the sweep in this process") from exc
     # fork by name: spawn and forkserver re-import __main__ and break unguarded scripts; macOS's fork is unsafe
     workers = _worker_count(threads, len(jobs)) if sys.platform == "linux" else 1
     if workers > 1:

@@ -8,8 +8,9 @@ where U is the block-diagonal stack of u and Y the column-stacked data. The
 block structure collapses U'WU to the diagonal sum_i u_i^2 w_ij and U'WY to
 sum_i u_i w_ij x_ij, so no mn-sized matrix is ever materialized; the systems
 are only n-by-n (or m-by-m for the mirrored update). ``ConditionalKernel``
-is the one place that forms this system: it returns its solution (one
-Cholesky solve), its hat trace and its GCV score.
+is the one place that forms this system: it scores a whole lambda grid at
+once (GCV scores and hat traces as two arrays) and solves at the chosen
+lambda (one Cholesky solve), so a selecting half-step forms its system once.
 """
 
 from __future__ import annotations
@@ -42,37 +43,28 @@ def _as_data(X) -> np.ndarray:
     return np.asarray(X, dtype=float)
 
 
-def design_v(X, u: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal d_j = sum_i u_i^2 w_ij and right side b_j = sum_i u_i w_ij x_ij."""
-    values = _as_data(X)
-    w = np.asarray(weights, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if values.shape != w.shape or u.shape != (values.shape[0],):
-        raise ValueError("shape mismatch between data, weights, and u")
-    d = (u * u) @ w
-    b = u @ (w * values)
-    return d, b
-
-
 class ConditionalKernel:
-    """The v-update system at every candidate lambda_v: solution, hat trace, GCV score.
+    """The v-update system at every candidate lambda_v: GCV scores, hat traces, solution.
 
     With u, the weights and lambda_u fixed, the v-update system is
     diag(d) + 2 Omega_{v|u} = diag(e) + 2 alpha lam Omega_v, where
     alpha = u'(I + lambda_u Omega_u)u and e = d + 2(alpha - u'u); u'Omega_u u
     is clipped at 0, so that rounding cannot make e fall below d.
-    ``solve`` factors the system by Cholesky. ``trace`` and ``score`` share
-    one eigendecomposition diag(e)^-1/2 Omega_v diag(e)^-1/2 = P diag(mu) P'
-    (the Demmler-Reinsch basis), made on their first call: with
-    G = diag(e)^-1/2 P and f = 1 / (1 + 2 alpha lam mu), the inverse is
-    G diag(f) G', so each candidate costs O(n^2) instead of a factorization.
+    ``solve`` factors the system by Cholesky. ``scores`` uses one
+    eigendecomposition diag(e)^-1/2 Omega_v diag(e)^-1/2 = P diag(mu) P' (the
+    Demmler-Reinsch basis), made on its first call: with G = diag(e)^-1/2 P
+    and f = 1 / (1 + 2 alpha lam mu), the inverse is G diag(f) G', so a grid
+    of K candidates costs one K-by-n product instead of K factorizations.
     ``ConditionalKernel.for_u`` gives the u-update's kernel. Raises
     DegenerateSystemError naming the indices whose total weight is zero.
     """
 
     def __init__(self, X, u, weights, spec: TwoWayPenaltySpec):
-        u = np.asarray(u, dtype=float)
-        d, b = design_v(X, u, weights)
+        values, w, u = _as_data(X), np.asarray(weights, dtype=float), np.asarray(u, dtype=float)
+        if values.shape != w.shape or u.shape != (values.shape[0],):
+            raise ValueError("shape mismatch between data, weights, and u")
+        # diagonal d_j = sum_i u_i^2 w_ij and right side b_j = sum_i u_i w_ij x_ij
+        d, b = (u * u) @ w, u @ (w * values)
         if spec.omega_u.shape[0] != u.size or spec.omega_v.shape[0] != d.size:
             raise ValueError("penalty matrices must match the data's rows and columns")
         if np.any(d <= 0):
@@ -100,7 +92,7 @@ class ConditionalKernel:
         a *= 2.0
         a.flat[diagonal] += self._d
         try:
-            factor = cho_factor(a, lower=True, check_finite=False)
+            factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError("conditional update is singular") from exc
         return cho_solve(factor, self._b, check_finite=False)
@@ -128,31 +120,36 @@ class ConditionalKernel:
         shift = -2.0 * self._ridge * self._b / (e * d)
         return c, rate, free, g, g.T @ self._b, shift
 
-    def trace(self, lam: float) -> float:
-        """Hat-matrix trace sum_k c_k f_k, with c = d'(G o G): the update's
-        effective degrees of freedom, n when both penalties are off."""
-        c, rate = self._sweep[:2]
-        return float(c @ (1.0 / (1.0 + lam * rate)))
+    def scores(self, grid) -> tuple[np.ndarray, np.ndarray]:
+        """(GCV scores, hat traces) at every lambda of ``grid``, as two arrays.
 
-    def score(self, lam: float) -> tuple[float, float]:
-        """(GCV score, hat trace) at ``lam``; +inf once the trace reaches n.
-
-        The score is the squared distance of the penalized update from the
-        unpenalized one (b/d), over n, normalized by (1 - trace/n)^2. +inf
-        is the 0/0 guard hit when both smoothing parameters are 0.
+        The hat trace sum_k c_k f_k, with c = d'(G o G), is the update's
+        effective degrees of freedom, n when both penalties are off. The score
+        is the squared distance of the penalized update from the unpenalized
+        one (b/d), over n, normalized by (1 - trace/n)^2; +inf once the trace
+        reaches n (the 0/0 of both smoothing parameters at 0).
         """
         c, rate, (free_rate, free_base), g, gb, shift = self._sweep
+        lam = np.fromiter(grid, dtype=float)[:, None]
         f = 1.0 / (1.0 + lam * rate)
-        trace = float(c @ f)
+        traces = f @ c
         n = self._d.size
         # 1 - f = lam rate f, so neither n - trace nor v_hat - b/d below is
         # formed as a difference of nearly equal numbers
-        free = (lam * float(free_rate @ f) + free_base) / n
-        if free <= 1e-12:
-            return np.inf, trace
-        # v_hat - b/d = G((f - 1) o G'b) + (b/e - b/d)
-        gap = g @ (gb * (-lam * rate * f)) + shift
-        return float(gap @ gap) / n / free ** 2, trace
+        free = (lam[:, 0] * (f @ free_rate) + free_base) / n
+        # v_hat - b/d = G((f - 1) o G'b) + (b/e - b/d), one row per candidate
+        gap = (gb * (-lam * rate * f)) @ g.T + shift
+        scores = np.einsum("kj,kj->k", gap, gap) / n / np.maximum(free, 1e-12) ** 2
+        return np.where(free > 1e-12, scores, np.inf), traces
+
+    def score(self, lam: float) -> tuple[float, float]:
+        """(GCV score, hat trace) at one ``lam``: see :meth:`scores`."""
+        scores, traces = self.scores((lam,))
+        return float(scores[0]), float(traces[0])
+
+    def trace(self, lam: float) -> float:
+        """Hat-matrix trace at one ``lam``: see :meth:`scores`."""
+        return self.score(lam)[1]
 
 
 def update_v_given_u(X, u: np.ndarray, weights, spec: TwoWayPenaltySpec) -> np.ndarray:

@@ -18,6 +18,11 @@ from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import estimate_scale_mad, huber_weight
 
 
+def read_rows(path):
+    with open(path) as fh:
+        return list(csv.reader(fh))
+
+
 def write_diag_csv(tmp_path):
     path = tmp_path / "diag.csv"
     path.write_text("r,0,1\n0,3.0,0.0\n1,0.0,1.0\n")
@@ -37,7 +42,7 @@ def test_decompose_rank_one_svd_on_diagonal(tmp_path):
     out = tmp_path / "out"
     rc = main(["decompose", path, "--method", "svd", "--rank", "1", "--out", str(out)])
     assert rc == 0
-    rows = list(csv.reader((out / "components.csv").open()))
+    rows = read_rows(out / "components.csv")
     assert rows[0][:2] == ["component", "s"]
     assert float(rows[1][1]) == pytest.approx(3.0, abs=1e-10)
     assert (out / "manifest.json").exists()
@@ -54,7 +59,7 @@ def test_decompose_robust_differs_from_nonrobust_at_contaminated_rows(tmp_path):
     assert main(["decompose", path, "--method", "rsvd", "--out", str(out_rs)]) == 0
 
     def read_u(out):
-        rows = list(csv.reader((out / "component_1_u.csv").open()))[1:]
+        rows = read_rows(out / "component_1_u.csv")[1:]
         return np.array([float(r[1]) for r in rows])
 
     u_rob, u_rs = read_u(out_rob), read_u(out_rs)
@@ -77,7 +82,7 @@ def test_decompose_missing_input_reports_imputation(tmp_path):
     rc = main(["decompose", path, "--method", "rsvd", "--lambda-min", "1e-12",
                "--lambda-max", "1e-10", "--lambda-count", "2", "--out", str(out)])
     assert rc == 0
-    rows = list(csv.reader((out / "components.csv").open()))
+    rows = read_rows(out / "components.csv")
     s_hat = float(rows[1][1])
     assert s_hat == pytest.approx(773.0, rel=1e-4)
     # the residual keeps the missing cells masked
@@ -154,7 +159,7 @@ def test_gcv_trace_single_point_grid(tmp_path):
     rc = main(["gcv-trace", path, "--trace", "v", "--lambda-min", "0.5",
                "--lambda-max", "0.5", "--lambda-count", "1", "--out", str(out)])
     assert rc == 0
-    rows = list(csv.reader(out.open()))
+    rows = read_rows(out)
     assert rows[0] == ["lambda", "gcv", "hat_trace", "chosen"]
     assert len(rows) == 2
     assert rows[1][3] == "1"
@@ -187,7 +192,7 @@ def test_gcv_trace_matches_dense_oracle_on_tiny_instance(tmp_path):
     w = huber_weight(resid / sigma)
     spec0 = TwoWayPenaltySpec(build_roughness_penalty(X.row_grid),
                               build_roughness_penalty(X.col_grid))
-    rows = list(csv.reader(out.open()))[1:]
+    rows = read_rows(out)[1:]
     for lam_text, score_text, trace_text, _ in rows:
         want, want_tr = dense_gcv_v(values, u, w, spec0.with_lambdas(0.0, float(lam_text)))
         assert float(score_text) == pytest.approx(want, rel=1e-9)
@@ -207,7 +212,7 @@ def test_gcv_trace_matches_first_v_sweep_of_decompose(tmp_path, masked):
     X = load(MatrixFile(path))
     decomp = fit(X, rank=1, opts=FitOptions(max_iter=1), imputation=ImputationOptions(max_rounds=1))
     want = decomp.components[0].history["gcv_trace_v"].records
-    rows = list(csv.reader(out.open()))[1:]
+    rows = read_rows(out)[1:]
     assert [float(r[0]) for r in rows] == [rec.lam for rec in want]
     assert [r[3] == "1" for r in rows] == [rec.chosen for rec in want]
     np.testing.assert_allclose([float(r[1]) for r in rows], [rec.score for rec in want], rtol=1e-12)
@@ -306,7 +311,20 @@ def test_manifests_record_every_default(tmp_path, monkeypatch):
         manifest = json.loads((tmp_path / manifest_path).read_text())
         assert manifest["command"] == command
         assert manifest["config"] == cfg, command
+        assert set(manifest["blas_threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
     assert calls[0]["methods"] == ["svd", "rsvd", "robrsvd"]
+
+
+def test_manifests_record_blas_threading(tmp_path, monkeypatch):
+    path, _ = contaminated_fixture(tmp_path)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "trace.csv"
+    assert main(["gcv-trace", path, "--lambda-count", "3", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "trace.csv.manifest.json").read_text())
+    assert manifest["blas_threads"] == {
+        "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
 
 
 def test_config_file_precedence_for_shared_options(tmp_path):
@@ -320,7 +338,7 @@ def test_config_file_precedence_for_shared_options(tmp_path):
     assert cfg["theta"] == 1.5  # flag beats file
     assert cfg["lambda_count"] == 3  # file beats default
     assert cfg["lambda_min"] == 1e-6  # default
-    assert len(list(csv.reader(out.open()))) == 1 + 3
+    assert len(read_rows(out)) == 1 + 3
 
 
 def test_transform_config_can_switch_log_off(tmp_path):

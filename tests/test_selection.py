@@ -99,36 +99,52 @@ def test_selected_lambda_invariant_under_u_rescaling():
     grid = LambdaGrid.log_default(1e-6, 1e2, 12)
 
     def chooser(scale):
-        lam, _ = select_lambda(grid, ConditionalKernel(X, scale * u, w, spec0).score)
+        scores, traces = ConditionalKernel(X, scale * u, w, spec0).scores(grid)
+        lam, _ = select_lambda(grid, scores=scores, traces=traces)
         return lam
 
     assert chooser(1.0) == chooser(7.5)
 
 
+NO_TRACES = np.full(3, np.nan)
+
+
 def test_select_lambda_basic_and_ties():
-    scores = {0.1: 3.0, 1.0: 1.0, 10.0: 2.0}
-    lam, trace = select_lambda(LambdaGrid((0.1, 1.0, 10.0)), lambda l: scores[l])
+    lam, trace = select_lambda(LambdaGrid((0.1, 1.0, 10.0)), scores=[3.0, 1.0, 2.0], traces=NO_TRACES)
     assert lam == 1.0
     assert trace.chosen.lam == 1.0
     assert sum(r.chosen for r in trace.records) == 1
 
-    tie = {0.1: 1.0, 1.0: 1.0, 10.0: 5.0}
-    lam, _ = select_lambda(LambdaGrid((0.1, 1.0, 10.0)), lambda l: tie[l])
+    lam, _ = select_lambda(LambdaGrid((0.1, 1.0, 10.0)), scores=[1.0, 1.0, 5.0], traces=NO_TRACES)
     assert lam == 0.1  # ties break toward smaller lambda
 
 
 def test_select_lambda_all_nonfinite_errors():
     with pytest.raises(ValueError, match="degenerate"):
-        select_lambda(LambdaGrid((0.1, 1.0)), lambda l: np.inf)
+        select_lambda(LambdaGrid((0.1, 1.0)), scores=[np.inf, np.inf], traces=[np.nan, np.nan])
+
+
+def test_select_lambda_skips_nan_scores():
+    lam, trace = select_lambda(LambdaGrid((0.1, 1.0, 10.0)), scores=[np.nan, 2.0, 1.0], traces=NO_TRACES)
+    assert lam == 10.0
+    assert [r.chosen for r in trace.records] == [False, False, True]
+    assert np.isnan(trace.records[0].score)
+    with pytest.raises(ValueError, match="degenerate"):
+        select_lambda(LambdaGrid((0.1, 1.0, 10.0)), scores=[np.nan, np.inf, np.nan], traces=NO_TRACES)
+
+
+def test_select_lambda_needs_one_score_and_trace_per_candidate():
+    with pytest.raises(ValueError, match=r"per grid value \(3\)"):
+        select_lambda(LambdaGrid((0.1, 1.0, 10.0)), scores=[1.0, 2.0], traces=[1.0, 2.0])
+    with pytest.raises(TypeError):
+        select_lambda(LambdaGrid((0.1, 1.0, 10.0)), [3.0, 1.0, 2.0], NO_TRACES)
 
 
 def test_select_lambda_grid_argmin_near_continuous_argmin():
     # quadratic in log-lambda with its minimum at log10 = 0.3
-    def score(lam):
-        return (np.log10(lam) - 0.3) ** 2 + 1.0
-
     grid = LambdaGrid(tuple(np.logspace(-2, 2, 17)))  # quarter-decade spacing
-    lam, _ = select_lambda(grid, score)
+    scores = (np.log10(grid.values) - 0.3) ** 2 + 1.0
+    lam, _ = select_lambda(grid, scores=scores, traces=np.full(len(grid), np.nan))
     assert abs(np.log10(lam) - 0.3) <= 0.25 + 1e-12
 
 
@@ -168,8 +184,7 @@ def test_log_default_rejects_a_count_that_contradicts_the_bounds(lo, hi, num):
 
 
 def test_trace_csv_schema(tmp_path):
-    scores = {0.1: 3.0, 1.0: 1.0}
-    _, trace = select_lambda(LambdaGrid((0.1, 1.0)), lambda l: (scores[l], 4.2))
+    _, trace = select_lambda(LambdaGrid((0.1, 1.0)), scores=[3.0, 1.0], traces=[4.2, 4.2])
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -178,7 +193,18 @@ def test_trace_csv_schema(tmp_path):
     assert lines[2].endswith(",1")  # lambda=1.0 chosen
 
 
-def test_one_kernel_scores_the_whole_grid(small_suite):
+def both_sides(inst):
+    # (kernel, dense oracle arguments) of the v-update and of the mirrored u-update
+    xt, wt, sw = mirror(inst.values, inst.weights, inst.spec)
+    return (
+        (ConditionalKernel(inst.values, inst.u, inst.weights, inst.spec),
+         (inst.values, inst.u, inst.weights, inst.spec)),
+        (ConditionalKernel.for_u(inst.values, inst.v, inst.weights, inst.spec),
+         (xt, inst.v, wt, sw)),
+    )
+
+
+def assert_criterion_2_on_default_grid(small_suite, sweep):
     # Criterion 2's measure, 1e-10 absolute below magnitude 1 and relative
     # above, widened by the dense oracle's own first-order float64 rounding:
     # eps * cond(A) for the trace, amplified in the score where the oracle
@@ -186,22 +212,13 @@ def test_one_kernel_scores_the_whole_grid(small_suite):
     eps = np.finfo(float).eps
     grid = LambdaGrid.log_default()
     for inst in small_suite:
-        xt, wt, sw = mirror(inst.values, inst.weights, inst.spec)
-        sides = (
-            (ConditionalKernel(inst.values, inst.u, inst.weights, inst.spec),
-             (inst.values, inst.u, inst.weights, inst.spec)),
-            (ConditionalKernel.for_u(inst.values, inst.v, inst.weights, inst.spec),
-             (xt, inst.v, wt, sw)),
-        )
-        for kernel, (X, u, w, spec) in sides:
+        for kernel, (X, u, w, spec) in both_sides(inst):
             n = X.shape[1]
-            for lam in grid:
+            for lam, got, got_tr in zip(grid, *sweep(kernel, grid)):
                 cand = spec.with_lambdas(lambda_v=lam)
                 want, want_tr = dense_gcv_v(X, u, w, cand)
                 design, w_diag, a, rhs = dense_systems_v(X, u, w, cand)
                 rounding = 8.0 * eps * np.linalg.cond(a)
-                got, got_tr = kernel.score(lam)
-                assert kernel.trace(lam) == got_tr
                 assert abs(got_tr - want_tr) <= (1e-10 + rounding) * max(1.0, abs(want_tr))
                 if np.isinf(want):
                     assert np.isinf(got)
@@ -210,6 +227,44 @@ def test_one_kernel_scores_the_whole_grid(small_suite):
                 v_star = rhs / np.diag(design.T @ w_diag @ design)
                 amplify = 1.0 + np.linalg.norm(v_hat) / np.linalg.norm(v_hat - v_star) + n / (n - want_tr)
                 assert abs(got - want) <= (1e-10 + rounding * amplify) * max(1.0, abs(want))
+
+
+def test_one_kernel_scores_the_whole_grid(small_suite):
+    def one_at_a_time(kernel, grid):
+        pairs = [kernel.score(lam) for lam in grid]
+        assert [kernel.trace(lam) for lam in grid] == [tr for _, tr in pairs]
+        return zip(*pairs)
+
+    assert_criterion_2_on_default_grid(small_suite, one_at_a_time)
+
+
+def test_grid_scores_meet_criterion_2(small_suite):
+    assert_criterion_2_on_default_grid(small_suite, lambda kernel, grid: kernel.scores(grid))
+
+
+def test_grid_scores_are_the_one_candidate_scores(small_suite):
+    # one K-by-n product against K one-row products: equal up to the order
+    # in which BLAS sums each row
+    grid = LambdaGrid.log_default()
+    for inst in small_suite:
+        for kernel, _ in both_sides(inst):
+            scores, traces = kernel.scores(grid)
+            assert scores.shape == traces.shape == (len(grid),)
+            for lam, got, got_tr in zip(grid, scores, traces):
+                want, want_tr = kernel.score(lam)
+                assert got_tr == pytest.approx(kernel.trace(lam), rel=1e-14)
+                assert got_tr == pytest.approx(want_tr, rel=1e-14)
+                assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_selecting_half_step_solves_the_system_it_scored(small_suite):
+    grid = LambdaGrid.log_default()
+    for inst in small_suite[:12]:
+        for kernel, (X, u, w, spec) in both_sides(inst):
+            scores, traces = kernel.scores(grid)
+            lam, _ = select_lambda(grid, scores=scores, traces=traces)
+            np.testing.assert_array_equal(
+                kernel.solve(lam), update_v_given_u(X, u, w, spec.with_lambdas(lambda_v=lam)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +196,19 @@ def test_benchmark_reproducible_and_thread_invariant():
         assert a.records == b.records
         assert len(a.failures) == 6
         assert a.failures == b.failures
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="worker processes run on Linux only")
+def test_unpicklable_argument_fails_before_any_worker_starts():
+    scen = SimScenario(rank=2, grid_size=(12, 12), noise_variance=0.5, contamination="none",
+                       rank2_config=Rank2Config(left_shape=lambda t: t**2))
+    kwargs = dict(methods=("svd",), replications=2, base_seed=0)
+    with pytest.raises(ValueError, match=r"argument scenarios\[0\] does not pickle.*threads=1"):
+        run_benchmark([scen], threads=2, **kwargs)
+    assert multiprocessing.active_children() == []
+    res = run_benchmark([scen], threads=1, **kwargs)
+    assert not res.failures
+    assert {r["replications"] for r in res.summary} == {2}
 
 
 def test_worker_count_is_bounded_by_jobs_and_cores():

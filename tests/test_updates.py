@@ -198,7 +198,8 @@ def test_hat_trace_zero_weight_error_names_index():
 
 
 def test_a_solve_computes_no_eigendecomposition(monkeypatch):
-    # only a selecting half-step sweeps the grid; every half-step solves
+    # only a selecting half-step sweeps the grid; every half-step solves,
+    # a selecting one from the kernel that swept
     calls = {"eigh": 0, "solve": 0}
 
     def counted(module, name, key):
@@ -210,8 +211,7 @@ def test_a_solve_computes_no_eigendecomposition(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(robrsvd.updates, "eigh", "eigh")
-    counted(robrsvd.decompose, "update_v_given_u", "solve")
-    counted(robrsvd.decompose, "update_u_given_v", "solve")
+    counted(robrsvd.updates.ConditionalKernel, "solve", "solve")
     X = np.random.default_rng(53).standard_normal((20, 16)) + 5.0 * np.outer(
         np.linspace(1.0, 2.0, 20), np.sin(np.linspace(0.0, 3.0, 16)))
     pair = fit_rank_one_robrsvd(X, opts=FitOptions(tol=0.0, max_iter=3, lambda_freeze_after=1))
