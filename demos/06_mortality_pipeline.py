@@ -3,7 +3,7 @@
 Loads a year-by-age mortality rate matrix (pass a dense CSV path as the
 first argument; otherwise a synthetic surface with flu-like outlier years
 and missing old-age cells stands in), applies the log2(x + 1/2) transform,
-imputes missing cells, reads the energy spectrum, and compares the first
+fills missing cells from a rank-one SVD fit of the observed ones, reads the energy spectrum, and compares the first
 left vector of the robust fit against the plain SVD at the outlier years.
 """
 
@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from robrsvd import fit, fit_with_missing
+from robrsvd import fit
 from robrsvd.dataio import MatrixFile, energy_percentages, load, log_transform
 from robrsvd.matrices import ObservedMatrix
 
@@ -46,9 +46,9 @@ else:
 
 X = log_transform(X_raw)
 
-# energy spectrum on the imputed matrix
-_, state = fit_with_missing(X, "svd")
-energy = energy_percentages(state.filled, 3)
+# energy spectrum with the missing cells at the rank-one SVD fit
+filled = np.where(X.mask, X.values, fit(X, "svd").reconstruction())
+energy = energy_percentages(filled, 3)
 print(f"\nenergy explained by leading components: "
       + ", ".join(f"{e:.1f}%" for e in energy))
 

@@ -4,8 +4,8 @@ Sequential rank-one approximations of a matrix whose rows and columns both
 sample smooth functions: a Huber loss bounds the influence of outlying
 cells, rows, or blocks, roughness penalties on both singular vectors keep
 them smooth, and generalized cross-validation picks the two smoothing
-parameters. Missing cells are handled by iterative imputation, and plain
-SVD and squared-loss regularized SVD baselines are included for comparison.
+parameters. A missing cell is a zero weight in the same fit, and plain SVD
+and squared-loss regularized SVD baselines are included for comparison.
 """
 
 from .matrices import ObservedMatrix, ResidualMatrix, residual
@@ -41,7 +41,6 @@ from .decompose import (
     fit_rank_one_svd,
     huber_objective,
 )
-from .imputation import ImputationOptions, ImputationState, fit_with_missing
 from .simulate import (
     Rank2Config,
     SimResult,
@@ -81,7 +80,6 @@ __all__ = [
     "GcvRecord", "GcvTrace", "LambdaGrid", "select_lambda",
     "ComponentPair", "Decomposition", "FitOptions", "fit",
     "fit_rank_one_robrsvd", "fit_rank_one_rsvd", "fit_rank_one_svd", "huber_objective",
-    "ImputationOptions", "ImputationState", "fit_with_missing",
     "Rank2Config", "SimResult", "SimScenario", "SimTruth",
     "generate", "mask_random", "metric_frobenius", "metric_l2",
     "metric_principal_angle", "metric_singular_value", "run_benchmark",

@@ -20,7 +20,7 @@ import scipy
 from . import __version__
 from .dataio import MatrixFile, format_number, load, log_transform, save, save_json
 from .decompose import METHODS, FitOptions, fit, fit_start, spline_penalties
-from .imputation import ImputationOptions, initial_fill
+from .imputation import initial_fill
 from .robust import DEFAULT_THETA, RobustLossSpec
 from .selection import GcvTrace, LambdaGrid, select_lambda
 from .penalties import TwoWayPenaltySpec
@@ -253,10 +253,10 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_gcv_trace(cfg: dict) -> int:
     """The GCV curve of decompose's first v-sweep, or of a u-sweep at its start.
 
-    The sweep sees what the first IRLS step of ``decompose`` sees: the input
-    with its missing cells filled as in the first imputation round, the fit's
-    start (leading SVD triple and residual scale) and the loss weights of
-    every cell. ``--trace u`` sweeps u at that same start, whereas decompose's
+    The sweep sees what the first IRLS step of ``decompose`` sees: the fit's
+    start (leading SVD triple and residual scale of the input with its
+    missing cells at their row means) and the loss weights, zero at missing
+    cells. ``--trace u`` sweeps u at that same start, whereas decompose's
     first u-sweep comes after the v half-step.
     """
     if not cfg["input"]:
@@ -264,10 +264,10 @@ def cmd_gcv_trace(cfg: dict) -> int:
     X = load(_matrix_file(cfg))
     # both smoothing parameters start at 0, so the other side is unpenalized
     spec = TwoWayPenaltySpec(*spline_penalties(X))
-    values = initial_fill(X, ImputationOptions().init)
+    values = initial_fill(X)
     loss = _loss(cfg)
     s, u, v, sigma = fit_start(values, loss)
-    weights = loss.weights(values - s * np.outer(u, v), sigma)
+    weights = loss.weights(values - s * np.outer(u, v), sigma) * X.mask
 
     if cfg["trace"] == "v":
         kernel = ConditionalKernel(values, u, weights, spec)

@@ -230,12 +230,14 @@ def log_transform(X: ObservedMatrix) -> ObservedMatrix:
 def energy_percentages(X, k: int = None) -> np.ndarray:
     """Percent of total squared mass captured by each leading singular value.
 
-    Needs a complete (or already imputed) matrix. The full set sums to 100;
-    the returned leading ``k`` are nonincreasing.
+    Needs a complete matrix, or one whose missing cells are filled, e.g. from
+    a fit's reconstruction. The full set sums to 100; the returned leading
+    ``k`` are nonincreasing.
     """
     values = X.values if isinstance(X, ObservedMatrix) else np.asarray(X, dtype=float)
     if isinstance(X, ObservedMatrix) and not X.is_complete:
-        raise ValueError("energy percentages need a complete matrix; impute missing cells first")
+        raise ValueError("energy percentages need a complete matrix; impute the missing cells from a fit's "
+                         "reconstruction first: np.where(X.mask, X.values, fit(X).reconstruction())")
     if not values.any():
         raise ValueError("energy percentages are undefined for a zero matrix")
     k = min(values.shape) if k is None else int(k)

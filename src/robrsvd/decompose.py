@@ -8,7 +8,9 @@ convergence), the solved vector is normalized to unit length, and its norm
 becomes the running singular-value estimate. Initialization comes from the
 plain SVD. With an infinite robustness threshold the weights are constant
 and the loop is exactly the nonrobust regularized SVD; with the penalties at
-zero it reduces further to the plain SVD.
+zero it reduces further to the plain SVD. A missing cell has weight zero in
+both half-steps and no term in the objective, so masked input runs the same
+loop on its observed cells, from the SVD of its row-mean fill.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# imputation imports this module in turn; each calls the other through the
-# module object, so neither needs the other fully loaded at import time
-from . import imputation as imputing
+from .imputation import initial_fill
 from .matrices import ObservedMatrix, ResidualMatrix
 from .penalties import TwoWayPenaltySpec, build_roughness_penalty, two_way_penalty
 from .robust import RobustLossSpec, estimate_scale_mad, huber_rho, squared_loss_spec
@@ -178,11 +178,6 @@ def _as_observed(X) -> ObservedMatrix:
     return X if isinstance(X, ObservedMatrix) else ObservedMatrix(np.asarray(X, dtype=float))
 
 
-def _require_complete(X: ObservedMatrix, what: str) -> None:
-    if not X.is_complete:
-        raise ValueError(f"{what} requires a complete matrix; use fit_with_missing for masked data")
-
-
 def _select_and_solve(kernel: ConditionalKernel, grid: LambdaGrid):
     """(lambda, GcvTrace, update) of a selecting half-step: one eigendecomposition
     scores the whole grid, and the same system solves at the chosen lambda."""
@@ -191,11 +186,15 @@ def _select_and_solve(kernel: ConditionalKernel, grid: LambdaGrid):
     return lam, trace, kernel.solve(lam)
 
 
-def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts: FitOptions) -> ComponentPair:
+def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts: FitOptions,
+                   mask=None) -> ComponentPair:
+    # mask marks the observed cells of masked input, None for complete input:
+    # missing cells get weight 0 and drop out of the objective
     values = np.asarray(values, dtype=float)
     spec0 = TwoWayPenaltySpec(*omegas)
 
-    s, u, v, sigma = fit_start(values, loss)
+    start = values if mask is None else initial_fill(ObservedMatrix(values, mask))
+    s, u, v, sigma = fit_start(start, loss)
     theta = float(loss.theta)
 
     selecting_possible = len(grid) > 1
@@ -203,7 +202,11 @@ def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts:
     trace_v = trace_u = None
 
     def objective(s_, u_, v_, lu, lv):
-        return huber_objective(values, s_, u_, v_, theta, sigma, spec0.with_lambdas(lu, lv))
+        return huber_objective(values, s_, u_, v_, theta, sigma, spec0.with_lambdas(lu, lv), mask)
+
+    def weights(s_, u_, v_):
+        w = loss.weights(values - s_ * np.outer(u_, v_), sigma)
+        return w if mask is None else w * mask
 
     f_prev = objective(s, u, v, lam_u, lam_v)
     history = {
@@ -224,7 +227,7 @@ def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts:
         freeze = opts.lambda_freeze_after
         selecting = selecting_possible and (freeze is None or it <= freeze)
 
-        w = loss.weights(values - s * np.outer(u, v), sigma)
+        w = weights(s, u, v)
         if selecting:
             lam_v, trace_v, v_new = _select_and_solve(
                 ConditionalKernel(values, u, w, spec0.with_lambdas(lambda_u=lam_u)), grid)
@@ -238,7 +241,7 @@ def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts:
         s, v = s_new, v_new / s_new
         history["half_objective"].append(objective(s, u, v, lam_u, lam_v))
 
-        w = loss.weights(values - s * np.outer(u, v), sigma)
+        w = weights(s, u, v)
         if selecting:
             lam_u, trace_u, u_new = _select_and_solve(
                 ConditionalKernel.for_u(values, v, w, spec0.with_lambdas(lambda_v=lam_v)), grid)
@@ -285,18 +288,19 @@ def fit_rank_one_robrsvd(
     opts: FitOptions = None,
     omegas=None,
 ) -> ComponentPair:
-    """Robust regularized rank-one fit of a complete matrix.
+    """Robust regularized rank-one fit of a matrix, complete or with missing cells.
 
     Huber weights bound the influence of outlying cells; the roughness
     penalties on both singular vectors are tuned by nested GCV grid search.
+    Missing cells have weight zero, so only observed cells are fitted.
     Non-convergence is reported through ``converged=False``, never silently.
     """
     X = _as_observed(X)
-    _require_complete(X, "fit_rank_one_robrsvd")
     loss = RobustLossSpec() if loss is None else loss
     grid = LambdaGrid.log_default() if penalty_grid is None else penalty_grid
     opts = FitOptions() if opts is None else opts
-    return _irls_rank_one(X.values, spline_penalties(X) if omegas is None else omegas, loss, grid, opts)
+    return _irls_rank_one(X.values, spline_penalties(X) if omegas is None else omegas, loss, grid, opts,
+                          None if X.is_complete else X.mask)
 
 
 def fit_rank_one_rsvd(
@@ -313,15 +317,21 @@ def fit_rank_one_rsvd(
     return fit_rank_one_robrsvd(X, squared_loss_spec(), penalty_grid, opts, omegas)
 
 
-def fit_rank_one_svd(X) -> ComponentPair:
-    """Best rank-one approximation in the Frobenius norm: the leading SVD triple.
+def fit_rank_one_svd(X, opts: FitOptions = None) -> ComponentPair:
+    """Best rank-one approximation of the observed cells in the Frobenius norm.
 
-    The plain unpenalized, unweighted baseline, computed by LAPACK; it is the
-    same triple every IRLS fit starts from. A zero matrix gives s = 0 with
-    the first unit vectors.
+    The plain unpenalized, unweighted baseline. On a complete matrix it is
+    the leading SVD triple, computed by LAPACK; it is the same triple every
+    IRLS fit starts from. A zero matrix gives s = 0 with the first unit
+    vectors. On a masked matrix it is the IRLS loop under the squared loss
+    with no penalty, i.e. alternating least squares on the observed cells
+    (criss-cross regression, Gabriel & Zamir 1979), stopped by ``opts``.
     """
     X = _as_observed(X)
-    _require_complete(X, "fit_rank_one_svd")
+    if not X.is_complete:
+        m, n = X.shape
+        return _irls_rank_one(X.values, (np.zeros((m, m)), np.zeros((n, n))), squared_loss_spec(),
+                              LambdaGrid((0.0,)), FitOptions() if opts is None else opts, X.mask)
     s, u, v = _leading_triple(X.values)
     return ComponentPair(s=s, u=u, v=v, iterations=0, converged=True,
                          final_objective=float(np.sum((X.values - s * np.outer(u, v)) ** 2)))
@@ -336,7 +346,7 @@ def rank_one_fit(X, method: str, loss=None, penalty_grid=None, opts=None, omegas
     """Dispatch a rank-one fit by method name, one of ``METHODS``."""
     _check_method(method)
     if method == "svd":
-        return fit_rank_one_svd(X)
+        return fit_rank_one_svd(X, opts)
     if method == "rsvd":
         return fit_rank_one_rsvd(X, penalty_grid, opts, omegas)
     return fit_rank_one_robrsvd(X, loss, penalty_grid, opts, omegas)
@@ -349,14 +359,12 @@ def fit(
     loss: RobustLossSpec = None,
     penalty_grid: LambdaGrid = None,
     opts: FitOptions = None,
-    imputation=None,
 ) -> Decomposition:
     """Sequential rank-``rank`` decomposition by deflation.
 
     Each pair is fitted to the residual left by the previous pairs, so every
-    pair gets its own GCV-selected smoothing. Matrices with missing cells
-    are handled by iterative imputation: while extracting component k the
-    missing cells ride along at the running rank-k reconstruction.
+    pair gets its own GCV-selected smoothing. Missing cells have weight zero
+    in every fit and stay masked, at 0, in the residual.
     """
     X = _as_observed(X)
     m, n = X.shape
@@ -370,13 +378,7 @@ def fit(
     for k in range(rank):
         Xk = ObservedMatrix(resid, X.mask, X.row_grid, X.col_grid)
         try:
-            if Xk.is_complete:
-                pair = rank_one_fit(Xk, method, loss, penalty_grid, opts, omegas)
-            else:
-                pair, _ = imputing.fit_with_missing(
-                    Xk, method, loss=loss, penalty_grid=penalty_grid, opts=opts,
-                    omegas=omegas, imputation=imputation,
-                )
+            pair = rank_one_fit(Xk, method, loss, penalty_grid, opts, omegas)
         except Exception as exc:
             raise RuntimeError(f"component {k + 1} failed: {exc}") from exc
         components.append(pair)

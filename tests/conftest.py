@@ -17,6 +17,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from robrsvd.decompose import rank_one_fit
+from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import huber_weight
 
@@ -72,6 +74,31 @@ def dense_gcv_v(X, u, weights, spec) -> tuple[float, float]:
         return np.inf, trace
     score = (float(np.sum((v_hat - v_star) ** 2)) / n) / (1.0 - trace / n) ** 2
     return score, trace
+
+
+def imputation_oracle(X: ObservedMatrix, method: str, start: str = "row_mean", tol: float = 1e-13,
+                      max_rounds: int = 5000, **fit_kwargs):
+    """(pair, filled matrix) at the fixed point of the fill-fit-refill loop.
+
+    Missing cells start at their row or column mean; each round fits the
+    filled, complete matrix and refills the missing cells from the fit, until
+    no filled cell moves by more than tol * max|x|. Under the squared loss
+    (svd, and rsvd at a fixed lambda) each round minimizes a majorizer of the
+    observed-cell objective, so the loop's fixed point is a stationary point
+    of the objective that the direct masked fit minimizes.
+    """
+    axis = 1 if start == "row_mean" else 0
+    means = X.values.sum(axis=axis, keepdims=True) / X.mask.sum(axis=axis, keepdims=True)
+    filled = np.where(X.mask, X.values, means)
+    atol = tol * np.abs(X.observed_values()).max()
+    for _ in range(max_rounds):
+        pair = rank_one_fit(ObservedMatrix(filled, None, X.row_grid, X.col_grid), method, **fit_kwargs)
+        refilled = np.where(X.mask, X.values, pair.reconstruction())
+        change = np.abs(refilled - filled).max()
+        filled = refilled
+        if change <= atol:
+            return pair, filled
+    raise AssertionError(f"imputation oracle still moving by {change:.3e} after {max_rounds} rounds")
 
 
 def mirror(X, weights, spec: TwoWayPenaltySpec):

@@ -20,7 +20,6 @@ from robrsvd.decompose import (
 )
 from robrsvd.cli import main
 from robrsvd.dataio import MatrixFile, energy_percentages, load, log_transform
-from robrsvd.imputation import ImputationOptions, fit_with_missing
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, two_way_penalty, build_roughness_penalty
 from robrsvd.robust import RobustLossSpec, squared_loss_spec
@@ -176,11 +175,11 @@ def test_criterion_5_missing_value_recovery():
                                contamination="none", seed=21))
     masked = mask_random(res, 100, seed=22)
     u0, v0 = res.truth.left[:, 0], res.truth.right[:, 0]
-    tight = ImputationOptions(tol=1e-10, max_rounds=200)
+    tight = FitOptions(tol=1e-10)
     worst = 0.0
     for method in ("svd", "rsvd", "robrsvd"):
         decomp = fit(masked.data, method=method, rank=1,
-                     penalty_grid=LambdaGrid((1e-12,)), imputation=tight)
+                     penalty_grid=LambdaGrid((1e-12,)), opts=tight)
         pair = decomp.components[0]
         worst = max(worst, metric_l2(pair.u, u0), metric_l2(pair.v, v0), abs(pair.s - 773.0))
     exact_ok = worst < 1e-5
@@ -280,8 +279,8 @@ def test_criterion_8_mortality_pipeline():
     assert X.row_grid[0] == 1908 and X.row_grid[-1] == 2007
     assert X.col_grid[-1] == 110
 
-    _, state = fit_with_missing(X, "svd")
-    energy = energy_percentages(state.filled, 2)
+    filled = np.where(X.mask, X.values, fit(X, "svd").reconstruction())
+    energy = energy_percentages(filled, 2)
     energy_ok = abs(energy[0] - 93.3) <= 0.7 and abs(energy[1] - 5.0) <= 0.7
 
     def first_left(method):

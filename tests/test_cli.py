@@ -10,7 +10,6 @@ from robrsvd import cli
 from robrsvd.cli import main, read_config_file
 from robrsvd.dataio import MatrixFile, load, save
 from robrsvd.decompose import FitOptions, fit
-from robrsvd.imputation import ImputationOptions
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.simulate import BenchmarkResult, SimScenario, generate, mask_random
 from conftest import dense_gcv_v
@@ -210,7 +209,7 @@ def test_gcv_trace_matches_first_v_sweep_of_decompose(tmp_path, masked):
     assert main(["gcv-trace", path, "--trace", "v", "--out", str(out)]) == 0
 
     X = load(MatrixFile(path))
-    decomp = fit(X, rank=1, opts=FitOptions(max_iter=1), imputation=ImputationOptions(max_rounds=1))
+    decomp = fit(X, rank=1, opts=FitOptions(max_iter=1))
     want = decomp.components[0].history["gcv_trace_v"].records
     rows = read_rows(out)[1:]
     assert [float(r[0]) for r in rows] == [rec.lam for rec in want]

@@ -274,12 +274,14 @@ def test_nonconvergence_reported():
 
 
 def test_masked_input_rejected_by_rank_one_fitters():
+    # masked input is fitted on its observed cells, but a row or column
+    # with none of them has nothing to fit
     values = np.ones((4, 4))
     mask = np.ones((4, 4), dtype=bool)
-    mask[1, 1] = False
+    mask[:, 1] = False
     X = ObservedMatrix(values, mask)
     for fitter in (fit_rank_one_svd, fit_rank_one_rsvd, fit_rank_one_robrsvd):
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(ValueError, match=r"empty rows \[\], empty columns \[1\]"):
             fitter(X)
 
 

@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from robrsvd.decompose import FitOptions, fit, fit_rank_one_rsvd, huber_objective
-from robrsvd.imputation import ImputationOptions, fit_with_missing
+from robrsvd.decompose import (
+    METHODS,
+    FitOptions,
+    fit,
+    fit_rank_one_rsvd,
+    fit_rank_one_svd,
+    huber_objective,
+    rank_one_fit,
+)
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import RobustLossSpec
 from robrsvd.selection import LambdaGrid
 from robrsvd.simulate import SimScenario, generate, mask_random
+from conftest import imputation_oracle
 
 
 def rank_one_surface(m=16, n=14, scale=40.0):
@@ -27,30 +37,20 @@ def random_mask(rng, m, n, frac):
             return mask
 
 
-def test_complete_matrix_goes_straight_through():
-    X, _, _ = rank_one_surface()
-    direct = fit_rank_one_rsvd(X, penalty_grid=LambdaGrid((1e-10,)))
-    pair, state = fit_with_missing(ObservedMatrix(X), "rsvd", penalty_grid=LambdaGrid((1e-10,)))
-    assert state.rounds == 0
-    assert state.last_change == 0.0
-    assert pair.s == direct.s
-    np.testing.assert_array_equal(pair.u, direct.u)
-
-
 def test_exact_rank_one_recovered_through_mask():
     rng = np.random.default_rng(90)
     values, u0, v0 = rank_one_surface()
     mask = random_mask(rng, *values.shape, 0.10)
     X = ObservedMatrix(np.where(mask, values, 0.0), mask)
-    pair, state = fit_with_missing(X, "rsvd", penalty_grid=LambdaGrid((1e-12,)))
-    assert state.converged
+    pair = fit_rank_one_rsvd(X, penalty_grid=LambdaGrid((1e-12,)))
+    assert pair.converged
     u = pair.u if pair.u @ u0 > 0 else -pair.u
     v = pair.v if pair.v @ v0 > 0 else -pair.v
     assert np.linalg.norm(u - u0) < 1e-6
     assert np.linalg.norm(v - v0) < 1e-6
     assert pair.s == pytest.approx(40.0, abs=1e-5)
-    # imputed cells equal the true surface
-    assert np.max(np.abs(state.filled[~mask] - values[~mask])) < 1e-5 * 40.0
+    # the fit at the missing cells equals the true surface
+    assert np.max(np.abs(pair.reconstruction()[~mask] - values[~mask])) < 1e-5 * 40.0
 
 
 def test_row_and_column_initialization_agree_at_convergence():
@@ -60,12 +60,14 @@ def test_row_and_column_initialization_agree_at_convergence():
     mask = random_mask(rng, *values.shape, 0.08)
     X = ObservedMatrix(np.where(mask, noisy, 0.0), mask)
     kwargs = dict(penalty_grid=LambdaGrid((1e-8,)), opts=FitOptions(tol=1e-10))
-    pair_r, _ = fit_with_missing(X, "rsvd", imputation=ImputationOptions(init="row_mean", tol=1e-9), **kwargs)
-    pair_c, _ = fit_with_missing(X, "rsvd", imputation=ImputationOptions(init="col_mean", tol=1e-9), **kwargs)
-    u_r = pair_r.u if pair_r.u @ u0 > 0 else -pair_r.u
-    u_c = pair_c.u if pair_c.u @ u0 > 0 else -pair_c.u
-    assert np.linalg.norm(u_r - u_c) < 1e-4
-    assert abs(pair_r.s - pair_c.s) < 1e-4 * pair_r.s
+    direct = fit_rank_one_rsvd(X, **kwargs)
+    u_d = direct.u if direct.u @ u0 > 0 else -direct.u
+    # the loop reaches the direct fit from either start
+    for start in ("row_mean", "col_mean"):
+        pair, _ = imputation_oracle(X, "rsvd", start=start, tol=1e-9, **kwargs)
+        u = pair.u if pair.u @ u0 > 0 else -pair.u
+        assert np.linalg.norm(u - u_d) < 1e-4
+        assert abs(pair.s - direct.s) < 1e-4 * direct.s
 
 
 def test_observed_cells_never_altered():
@@ -74,8 +76,11 @@ def test_observed_cells_never_altered():
     noisy = values + rng.normal(0, 0.3, values.shape)
     mask = random_mask(rng, *values.shape, 0.15)
     X = ObservedMatrix(np.where(mask, noisy, 0.0), mask)
-    _, state = fit_with_missing(X, "robrsvd", penalty_grid=LambdaGrid((1e-6,)))
-    np.testing.assert_array_equal(state.filled[mask], X.values[mask])
+    before = X.values.copy()
+    decomp = fit(X, "robrsvd", penalty_grid=LambdaGrid((1e-6,)))
+    np.testing.assert_array_equal(X.values, before)
+    np.testing.assert_allclose((decomp.reconstruction() + decomp.residual.residuals)[mask],
+                               X.values[mask], rtol=0, atol=1e-12 * np.abs(X.values).max())
 
 
 def test_objective_nonincreasing_across_rounds():
@@ -110,20 +115,14 @@ def test_objective_nonincreasing_across_rounds():
 
 
 def test_imputation_nonconvergence_is_reported():
-    # two rounds leave the imputed cells moving by several units
+    # two IRLS iterations leave the fit of a masked matrix short of convergence
     res = generate(SimScenario(grid_size=(40, 40), contamination="outlying_rows", seed=1))
     X = mask_random(res, 300, seed=1).data
-    capped = ImputationOptions(max_rounds=2)
-    pair = fit(X, imputation=capped).components[0]
-    assert not pair.converged
-    assert pair.history["imputation"]["rounds"] == 2
-    assert not pair.history["imputation"]["converged"]
-
-    pair, state = fit_with_missing(X, "robrsvd", imputation=capped)
-    assert not pair.converged and not state.converged
-    assert pair.history["imputation"] == {
-        "rounds": state.rounds, "last_change": state.last_change, "converged": False}
-    assert state.last_change > capped.tol
+    capped = FitOptions(max_iter=2)
+    for method in METHODS:
+        pair = fit(X, method, opts=capped).components[0]
+        assert not pair.converged, method
+        assert pair.iterations == 2, method
 
 
 def test_empty_row_or_column_rejected():
@@ -131,7 +130,7 @@ def test_empty_row_or_column_rejected():
     mask = np.ones((4, 5), dtype=bool)
     mask[:, 3] = False
     with pytest.raises(ValueError, match="column"):
-        fit_with_missing(ObservedMatrix(values, mask), "svd")
+        fit_rank_one_svd(ObservedMatrix(values, mask))
 
 
 def test_fit_routes_masked_matrices_through_imputation():
@@ -147,8 +146,54 @@ def test_fit_routes_masked_matrices_through_imputation():
     assert not decomp.residual.mask[~mask].any()
 
 
-def test_imputation_options_validation():
-    with pytest.raises(ValueError):
-        ImputationOptions(init="diagonal_mean")
-    with pytest.raises(ValueError):
-        ImputationOptions(tol=0.0)
+
+@pytest.mark.parametrize("method", ["svd", "rsvd"])
+def test_direct_fit_reaches_the_imputation_fixed_point(method):
+    # zero weights at the missing cells and the fill-fit-refill loop are two
+    # routes to one stationary point of the observed-cell objective
+    rng = np.random.default_rng(95)
+    values, _, _ = rank_one_surface()
+    noisy = values + rng.normal(0, 0.5, values.shape)
+    mask = random_mask(rng, *values.shape, 0.12)
+    X = ObservedMatrix(np.where(mask, noisy, 0.0), mask)
+    kwargs = {} if method == "svd" else dict(penalty_grid=LambdaGrid((1e-4,)))
+    opts = FitOptions(tol=1e-15, max_iter=1000)
+    direct = rank_one_fit(X, method, opts=opts, **kwargs)
+    assert direct.converged
+    oracle, _ = imputation_oracle(X, method, opts=opts, **kwargs)
+    assert direct.s == pytest.approx(oracle.s, rel=1e-6)
+    np.testing.assert_allclose(direct.u, oracle.u, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(direct.v, oracle.v, rtol=0, atol=1e-5)
+
+
+def test_benchmark_gate_input_converges():
+    # 24x24, 20 missing cells: the fill-fit-refill loop's lambda_u flipped
+    # between two grid values every round here and never converged
+    data_seed, mask_seed = (int(x) for x in np.random.SeedSequence([1, 0]).generate_state(2))
+    sim = generate(SimScenario(rank=1, grid_size=(24, 24), noise_variance=1.0,
+                               contamination="outlying_rows", seed=data_seed))
+    X = mask_random(sim, 20, seed=mask_seed).data
+    pair = fit(X).components[0]
+    assert pair.converged
+    assert pair.iterations < FitOptions().max_iter
+
+
+@st.composite
+def masked_inputs(draw):
+    m, n = draw(st.integers(4, 8)), draw(st.integers(4, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = 10.0 * np.outer(rng.standard_normal(m), rng.standard_normal(n)) + rng.standard_normal((m, n))
+    mask = np.ones((m, n), dtype=bool)
+    mask.flat[rng.choice(m * n, draw(st.integers(1, m * n // 5)), replace=False)] = False
+    assume(mask.sum(axis=0).min() >= 2 and mask.sum(axis=1).min() >= 2)
+    return ObservedMatrix(np.where(mask, values, 0.0), mask)
+
+
+@settings(max_examples=30, deadline=None)
+@given(X=masked_inputs(), method=st.sampled_from(METHODS), rank=st.integers(1, 2))
+def test_observed_cells_are_reconstruction_plus_residual(X, method, rank):
+    decomp = fit(X, method, rank, penalty_grid=LambdaGrid.log_default(num=5))
+    np.testing.assert_array_equal(decomp.residual.mask, X.mask)
+    obs = X.mask
+    gap = np.abs(decomp.reconstruction()[obs] + decomp.residual.residuals[obs] - X.values[obs]).max()
+    assert gap <= 1e-12 * np.abs(X.values[obs]).max()
