@@ -21,7 +21,7 @@ X = result.data
 # start where the full algorithm starts: the leading SVD triple and the MAD
 # scale of its residuals
 loss = RobustLossSpec()
-s, u, v, sigma = fit_start(X.values, loss)
+s, u, v, sigma = fit_start(X, loss)
 weights = loss.weights(X.values - s * np.outer(u, v), sigma)
 print(f"SVD initialization: s = {s:.1f}, MAD residual scale = {sigma:.3f}")
 

@@ -20,7 +20,6 @@ import scipy
 from . import __version__
 from .dataio import MatrixFile, format_number, load, log_transform, save, save_json
 from .decompose import METHODS, FitOptions, fit, fit_start, spline_penalties
-from .imputation import initial_fill
 from .robust import DEFAULT_THETA, RobustLossSpec
 from .selection import GcvTrace, LambdaGrid, select_lambda
 from .penalties import TwoWayPenaltySpec
@@ -101,9 +100,7 @@ def _lambda_grid(cfg: dict) -> LambdaGrid:
 
 
 def _loss(cfg: dict) -> RobustLossSpec:
-    if cfg["sigma"] == "mad":
-        return RobustLossSpec(theta=cfg["theta"])
-    return RobustLossSpec(theta=cfg["theta"], sigma=float(cfg["sigma"]), sigma_source="fixed")
+    return RobustLossSpec(theta=cfg["theta"], sigma=None if cfg["sigma"] == "mad" else float(cfg["sigma"]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +251,7 @@ def cmd_gcv_trace(cfg: dict) -> int:
     """The GCV curve of decompose's first v-sweep, or of a u-sweep at its start.
 
     The sweep sees what the first IRLS step of ``decompose`` sees: the fit's
-    start (leading SVD triple and residual scale of the input with its
-    missing cells at their row means) and the loss weights, zero at missing
+    start (``fit_start`` of the input) and the loss weights, zero at missing
     cells. ``--trace u`` sweeps u at that same start, whereas decompose's
     first u-sweep comes after the v half-step.
     """
@@ -264,15 +260,14 @@ def cmd_gcv_trace(cfg: dict) -> int:
     X = load(_matrix_file(cfg))
     # both smoothing parameters start at 0, so the other side is unpenalized
     spec = TwoWayPenaltySpec(*spline_penalties(X))
-    values = initial_fill(X)
     loss = _loss(cfg)
-    s, u, v, sigma = fit_start(values, loss)
-    weights = loss.weights(values - s * np.outer(u, v), sigma) * X.mask
+    s, u, v, sigma = fit_start(X, loss)
+    weights = loss.weights(X.values - s * np.outer(u, v), sigma) * X.mask
 
     if cfg["trace"] == "v":
-        kernel = ConditionalKernel(values, u, weights, spec)
+        kernel = ConditionalKernel(X, u, weights, spec)
     else:
-        kernel = ConditionalKernel.for_u(values, v, weights, spec)
+        kernel = ConditionalKernel.for_u(X, v, weights, spec)
     grid = _lambda_grid(cfg)
     scores, traces = kernel.scores(grid)
     _, trace = select_lambda(grid, scores=scores, traces=traces)

@@ -55,8 +55,6 @@ class MatrixFile:
     path: str
     format: str = "dense_csv"
     missing_token: str = "."
-    row_label_name: str = "row"
-    col_label_name: str = "col"
 
     def __post_init__(self):
         if self.format not in ("dense_csv", "hmd_triplet"):
@@ -162,12 +160,11 @@ def _grid_label(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-def save_dense_csv(X: ObservedMatrix, path, missing_token: str = ".",
-                   row_label_name: str = "row", col_label_name: str = "col") -> None:
+def save_dense_csv(X: ObservedMatrix, path, missing_token: str = ".") -> None:
     """Write the dense format; values use shortest round-trip decimals."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"{row_label_name}\\{col_label_name}"] + [_grid_label(c) for c in X.col_grid])
+        writer.writerow(["row\\col"] + [_grid_label(c) for c in X.col_grid])
         for i in range(X.shape[0]):
             row = [_grid_label(X.row_grid[i])]
             for j in range(X.shape[1]):
@@ -175,12 +172,11 @@ def save_dense_csv(X: ObservedMatrix, path, missing_token: str = ".",
             writer.writerow(row)
 
 
-def save_hmd_triplet(X: ObservedMatrix, path, missing_token: str = ".",
-                     row_label_name: str = "row", col_label_name: str = "col") -> None:
+def save_hmd_triplet(X: ObservedMatrix, path, missing_token: str = ".") -> None:
     """Write the triplet format, one (row, col, value) line per cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([row_label_name, col_label_name, "value"])
+        writer.writerow(["row", "col", "value"])
         for i in range(X.shape[0]):
             for j in range(X.shape[1]):
                 value = repr(float(X.values[i, j])) if X.mask[i, j] else missing_token
@@ -189,12 +185,10 @@ def save_hmd_triplet(X: ObservedMatrix, path, missing_token: str = ".",
 
 def save(X: ObservedMatrix, file: MatrixFile) -> None:
     """Write ``X`` in the format described by ``file`` (load/save round-trips)."""
-    kwargs = dict(missing_token=file.missing_token,
-                  row_label_name=file.row_label_name, col_label_name=file.col_label_name)
     if file.format == "dense_csv":
-        save_dense_csv(X, file.path, **kwargs)
+        save_dense_csv(X, file.path, file.missing_token)
     else:
-        save_hmd_triplet(X, file.path, **kwargs)
+        save_hmd_triplet(X, file.path, file.missing_token)
 
 
 def matrix_to_json(X: ObservedMatrix) -> dict:

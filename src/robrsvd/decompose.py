@@ -1,16 +1,16 @@
 """Rank-one robust regularized fits and sequential deflation.
 
-The iteratively reweighted least squares engine alternates the two
-conditional updates: weights are recomputed from the sigma-scaled residuals
-before each half-step, the smoothing parameter of the side being updated is
-chosen by GCV (optionally frozen after a few iterations to stabilize
-convergence), the solved vector is normalized to unit length, and its norm
-becomes the running singular-value estimate. Initialization comes from the
-plain SVD. With an infinite robustness threshold the weights are constant
-and the loop is exactly the nonrobust regularized SVD; with the penalties at
-zero it reduces further to the plain SVD. A missing cell has weight zero in
-both half-steps and no term in the objective, so masked input runs the same
-loop on its observed cells, from the SVD of its row-mean fill.
+The iteratively reweighted least squares engine alternates two conditional
+regressions, v given u and u given v, written once as ``_half_step``:
+weights are recomputed from the sigma-scaled residuals before each one, the
+smoothing parameter of the side being updated is chosen by GCV (optionally
+frozen after a few iterations to stabilize convergence), and the solution's
+norm becomes the running singular-value estimate. ``fit_start`` gives the
+plain SVD start. With an infinite robustness threshold the weights are
+constant and the loop is exactly the nonrobust regularized SVD; with the
+penalties at zero it reduces further to the plain SVD. A missing cell has
+weight zero in both regressions and no term in the objective, so masked
+input runs the same loop on its observed cells, from its row-mean fill.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imputation import initial_fill
 from .matrices import ObservedMatrix, ResidualMatrix
 from .penalties import TwoWayPenaltySpec, build_roughness_penalty, two_way_penalty
 from .robust import RobustLossSpec, estimate_scale_mad, huber_rho, squared_loss_spec
 from .selection import LambdaGrid, select_lambda
-from .updates import ConditionalKernel, update_u_given_v, update_v_given_u
+from .updates import ConditionalKernel
 
 __all__ = [
     "METHODS",
@@ -51,12 +50,22 @@ class FitOptions:
     ``lambda_freeze_after``: stop re-selecting the smoothing parameters by
     GCV after this many iterations and keep the last choice (None disables
     freezing). Re-selecting every step can cycle; freezing is on by default
-    and is recorded in the fit history.
+    and is recorded in the fit history. ``tol`` must be a number >= 0,
+    ``max_iter`` at least 1 and ``lambda_freeze_after`` None or at least 1;
+    ValueError names a value out of range.
     """
 
     tol: float = 1e-6
     max_iter: int = 100
     lambda_freeze_after: int = 5
+
+    def __post_init__(self):
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be a number >= 0, got {self.tol}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.lambda_freeze_after is not None and not self.lambda_freeze_after >= 1:
+            raise ValueError(f"lambda_freeze_after must be None or at least 1, got {self.lambda_freeze_after}")
 
 
 @dataclass(frozen=True)
@@ -140,15 +149,30 @@ def _leading_triple(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return float(s_vec[0]), u, v
 
 
-def fit_start(values: np.ndarray, loss: RobustLossSpec) -> tuple[float, np.ndarray, np.ndarray, float]:
+def fit_start(X, loss: RobustLossSpec) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Where every fit starts: the leading SVD triple and the residual scale sigma.
 
-    A robust loss (finite theta) raises ValueError when the MAD scale is at
-    the rounding level of the data (at most 1e-10 max|x|), as on noise-free
-    input: weights scaled by rounding error would discount every cell.
+    ``X`` is an ObservedMatrix or an array. A missing cell starts at the
+    mean of the observed cells in its row, so every row and column needs an
+    observed cell (ValueError names the empty ones). sigma is ``loss.sigma``
+    when given, else the MAD of the triple's residuals. A robust loss (finite
+    theta) raises ValueError when that MAD is at the rounding level of the
+    data (at most 1e-10 max|x|), as on noise-free input: weights scaled by
+    rounding error would discount every cell.
     """
+    X = _as_observed(X)
+    values = X.values
+    if not X.is_complete:
+        obs_rows, obs_cols = X.mask.sum(axis=1), X.mask.sum(axis=0)
+        if not (obs_rows.all() and obs_cols.all()):
+            raise ValueError(
+                f"every row and column needs at least one observed cell "
+                f"(empty rows {np.flatnonzero(obs_rows == 0).tolist()}, "
+                f"empty columns {np.flatnonzero(obs_cols == 0).tolist()})"
+            )
+        values = np.where(X.mask, values, (values.sum(axis=1) / obs_rows)[:, None])
     s, u, v = _leading_triple(values)
-    if loss.sigma_source == "fixed":
+    if loss.sigma is not None:
         return s, u, v, float(loss.sigma)
     try:
         sigma = estimate_scale_mad(values - s * np.outer(u, v))
@@ -178,23 +202,30 @@ def _as_observed(X) -> ObservedMatrix:
     return X if isinstance(X, ObservedMatrix) else ObservedMatrix(np.asarray(X, dtype=float))
 
 
-def _select_and_solve(kernel: ConditionalKernel, grid: LambdaGrid):
-    """(lambda, GcvTrace, update) of a selecting half-step: one eigendecomposition
-    scores the whole grid, and the same system solves at the chosen lambda."""
-    scores, traces = kernel.scores(grid)
-    lam, trace = select_lambda(grid, scores=scores, traces=traces)
-    return lam, trace, kernel.solve(lam)
+def _half_step(kernel: ConditionalKernel, grid: LambdaGrid, lam: float, selecting: bool):
+    """(lambda, GcvTrace or None, s, unit vector) of one conditional regression.
+
+    Selecting, one eigendecomposition scores the whole grid and the same
+    system solves at the chosen lambda; frozen, it solves at ``lam``. s is
+    the solution's norm; at s = 0 the vector is the zero solution.
+    """
+    trace = None
+    if selecting:
+        scores, traces = kernel.scores(grid)
+        lam, trace = select_lambda(grid, scores=scores, traces=traces)
+    x = kernel.solve(lam)
+    s = float(np.linalg.norm(x))
+    return lam, trace, s, (x / s if s else x)
 
 
-def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts: FitOptions,
-                   mask=None) -> ComponentPair:
-    # mask marks the observed cells of masked input, None for complete input:
+def _irls_rank_one(X: ObservedMatrix, omegas, loss: RobustLossSpec, grid: LambdaGrid,
+                   opts: FitOptions) -> ComponentPair:
     # missing cells get weight 0 and drop out of the objective
-    values = np.asarray(values, dtype=float)
+    values = X.values
+    mask = None if X.is_complete else X.mask
     spec0 = TwoWayPenaltySpec(*omegas)
 
-    start = values if mask is None else initial_fill(ObservedMatrix(values, mask))
-    s, u, v, sigma = fit_start(start, loss)
+    s, u, v, sigma = fit_start(X, loss)
     theta = float(loss.theta)
 
     selecting_possible = len(grid) > 1
@@ -221,49 +252,36 @@ def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts:
     }
 
     converged = False
-    iterations = 0
-    for it in range(1, opts.max_iter + 1):
-        iterations = it
+    for it in range(1, opts.max_iter + 1):  # max_iter >= 1, so ``it`` is always bound
         freeze = opts.lambda_freeze_after
         selecting = selecting_possible and (freeze is None or it <= freeze)
 
-        w = weights(s, u, v)
-        if selecting:
-            lam_v, trace_v, v_new = _select_and_solve(
-                ConditionalKernel(values, u, w, spec0.with_lambdas(lambda_u=lam_u)), grid)
-        else:
-            v_new = update_v_given_u(values, u, w, spec0.with_lambdas(lam_u, lam_v))
-        s_new = float(np.linalg.norm(v_new))
-        if s_new == 0.0:
-            s = 0.0
+        kernel = ConditionalKernel(values, u, weights(s, u, v), spec0.with_lambdas(lambda_u=lam_u))
+        lam_v, trace, s, v_new = _half_step(kernel, grid, lam_v, selecting)
+        trace_v = trace or trace_v
+        if s == 0.0:
             converged = True
             break
-        s, v = s_new, v_new / s_new
+        v = v_new
         history["half_objective"].append(objective(s, u, v, lam_u, lam_v))
 
-        w = weights(s, u, v)
-        if selecting:
-            lam_u, trace_u, u_new = _select_and_solve(
-                ConditionalKernel.for_u(values, v, w, spec0.with_lambdas(lambda_v=lam_v)), grid)
-        else:
-            u_new = update_u_given_v(values, v, w, spec0.with_lambdas(lam_u, lam_v))
-        s_new = float(np.linalg.norm(u_new))
-        if s_new == 0.0:
-            s = 0.0
+        kernel = ConditionalKernel.for_u(values, v, weights(s, u, v), spec0.with_lambdas(lambda_v=lam_v))
+        lam_u, trace, s, u_new = _half_step(kernel, grid, lam_u, selecting)
+        trace_u = trace or trace_u
+        if s == 0.0:
             converged = True
             break
-        s, u = s_new, u_new / s_new
+        u = u_new
 
         f = objective(s, u, v, lam_u, lam_v)
         history["objective"].append(f)
         history["half_objective"].append(f)
         history["lambda_u"].append(lam_u)
         history["lambda_v"].append(lam_v)
-        if abs(f - f_prev) <= opts.tol * max(abs(f_prev), abs(f), 1e-12):
-            converged = True
-            f_prev = f
-            break
+        converged = abs(f - f_prev) <= opts.tol * max(abs(f_prev), abs(f), 1e-12)
         f_prev = f
+        if converged:
+            break
 
     u, v = _sign_fix(u, v)
     history["gcv_trace_v"] = trace_v
@@ -274,7 +292,7 @@ def _irls_rank_one(values, omegas, loss: RobustLossSpec, grid: LambdaGrid, opts:
         v=v,
         lambda_u=lam_u,
         lambda_v=lam_v,
-        iterations=iterations,
+        iterations=it,
         final_objective=f_prev,
         converged=converged,
         history=history,
@@ -299,8 +317,7 @@ def fit_rank_one_robrsvd(
     loss = RobustLossSpec() if loss is None else loss
     grid = LambdaGrid.log_default() if penalty_grid is None else penalty_grid
     opts = FitOptions() if opts is None else opts
-    return _irls_rank_one(X.values, spline_penalties(X) if omegas is None else omegas, loss, grid, opts,
-                          None if X.is_complete else X.mask)
+    return _irls_rank_one(X, spline_penalties(X) if omegas is None else omegas, loss, grid, opts)
 
 
 def fit_rank_one_rsvd(
@@ -330,8 +347,8 @@ def fit_rank_one_svd(X, opts: FitOptions = None) -> ComponentPair:
     X = _as_observed(X)
     if not X.is_complete:
         m, n = X.shape
-        return _irls_rank_one(X.values, (np.zeros((m, m)), np.zeros((n, n))), squared_loss_spec(),
-                              LambdaGrid((0.0,)), FitOptions() if opts is None else opts, X.mask)
+        return _irls_rank_one(X, (np.zeros((m, m)), np.zeros((n, n))), squared_loss_spec(),
+                              LambdaGrid((0.0,)), FitOptions() if opts is None else opts)
     s, u, v = _leading_triple(X.values)
     return ComponentPair(s=s, u=u, v=v, iterations=0, converged=True,
                          final_objective=float(np.sum((X.values - s * np.outer(u, v)) ** 2)))

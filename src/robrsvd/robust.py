@@ -109,22 +109,18 @@ def estimate_scale_mad(residuals) -> float:
 class RobustLossSpec:
     """Huber threshold and residual scale for a robust fit.
 
-    ``sigma_source`` selects how the scale is obtained: ``"fixed"`` uses the
-    given ``sigma``; ``"mad_from_svd_residuals"`` estimates it once, by MAD,
-    from the residuals of a plain rank-one SVD of the data before the robust
-    iterations start (no per-iteration re-estimation).
+    A given ``sigma`` is the scale, fixed. None (the default) estimates it
+    once, by MAD, from the residuals of a plain rank-one SVD of the data
+    before the robust iterations start (no per-iteration re-estimation).
     """
 
     theta: float = DEFAULT_THETA
     sigma: float = None
-    sigma_source: str = "mad_from_svd_residuals"
 
     def __post_init__(self):
         _check_theta(self.theta)
-        if self.sigma_source not in ("fixed", "mad_from_svd_residuals"):
-            raise ValueError(f"unknown sigma_source {self.sigma_source!r}")
-        if self.sigma_source == "fixed" and (self.sigma is None or not float(self.sigma) > 0):
-            raise ValueError("fixed sigma must be a positive number")
+        if self.sigma is not None and not float(self.sigma) > 0:
+            raise ValueError(f"fixed sigma must be a positive number, got {self.sigma}")
 
     def weights(self, residuals: np.ndarray, sigma: float) -> np.ndarray:
         """Weight matrix of the sigma-scaled residuals (0 stays 0 only via masks)."""
@@ -133,4 +129,4 @@ class RobustLossSpec:
 
 def squared_loss_spec() -> RobustLossSpec:
     """Loss spec that reproduces the plain squared loss (theta = inf, sigma = 1)."""
-    return RobustLossSpec(theta=np.inf, sigma=1.0, sigma_source="fixed")
+    return RobustLossSpec(theta=np.inf, sigma=1.0)

@@ -120,7 +120,7 @@ def test_criterion_3_objective_monotonicity(small_suite):
         try:
             pair = fit_rank_one_robrsvd(
                 ObservedMatrix(filled),
-                loss=RobustLossSpec(theta=1.345, sigma=1.0, sigma_source="fixed"),
+                loss=RobustLossSpec(theta=1.345, sigma=1.0),
                 penalty_grid=LambdaGrid((lam,)),
                 opts=FitOptions(tol=1e-13, max_iter=40),
             )

@@ -135,6 +135,13 @@ def test_simulate_rejects_threads_below_one(tmp_path, capsys):
     assert not (out / "summary.csv").exists()
 
 
+def test_decompose_rejects_lambda_freeze_after_zero(tmp_path, capsys):
+    path, _ = contaminated_fixture(tmp_path)
+    rc = main(["decompose", path, "--lambda-freeze-after", "0", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "lambda_freeze_after must be None or at least 1, got 0" in capsys.readouterr().err
+
+
 def test_simulate_failures_saved_under_csv_output(tmp_path, monkeypatch, capsys):
     import robrsvd.simulate as simulate
 

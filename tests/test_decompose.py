@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robrsvd.decompose import (
@@ -55,10 +55,23 @@ def test_robust_beats_nonrobust_under_cell_outliers():
     assert aligned_error(rob.u, u0) < aligned_error(rs.u, u0)
 
 
-def test_infinite_threshold_equals_rsvd():
-    rng = np.random.default_rng(71)
-    X = rng.standard_normal((12, 9)) + 3.0 * np.outer(rng.standard_normal(12), rng.standard_normal(9))
-    rob = fit_rank_one_robrsvd(X, loss=RobustLossSpec(theta=np.inf, sigma=2.7, sigma_source="fixed"))
+@st.composite
+def noisy_rank_one(draw):
+    """3..12 by 3..12, complete or masked with an observed cell in every row and column."""
+    m, n = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((m, n)) + 3.0 * np.outer(rng.standard_normal(m), rng.standard_normal(n))
+    mask = np.ones((m, n), dtype=bool)
+    if draw(st.booleans()):
+        mask.flat[rng.choice(m * n, draw(st.integers(1, m * n // 4)), replace=False)] = False
+        assume(mask.any(axis=0).all() and mask.any(axis=1).all())
+    return ObservedMatrix(np.where(mask, values, 0.0), mask)
+
+
+@settings(max_examples=30, deadline=None)
+@given(X=noisy_rank_one(), sigma=st.one_of(st.none(), st.floats(0.1, 10.0)))
+def test_infinite_threshold_equals_rsvd(X, sigma):
+    rob = fit_rank_one_robrsvd(X, loss=RobustLossSpec(theta=np.inf, sigma=sigma))
     rs = fit_rank_one_rsvd(X)
     assert abs(rob.s - rs.s) < 1e-10 * rs.s
     np.testing.assert_allclose(rob.u, rs.u, atol=1e-10)
@@ -271,6 +284,26 @@ def test_nonconvergence_reported():
     pair = fit_rank_one_robrsvd(X, opts=FitOptions(tol=1e-16, max_iter=2))
     assert not pair.converged
     assert pair.iterations == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", -1e-3), ("tol", np.nan), ("max_iter", 0), ("max_iter", -1),
+    ("lambda_freeze_after", 0), ("lambda_freeze_after", -3),
+])
+def test_fit_options_out_of_range_named(field, value):
+    with pytest.raises(ValueError, match=f"{field} must .*got {value}"):
+        FitOptions(**{field: value})
+
+
+def test_fit_options_edge_values_accepted():
+    FitOptions(tol=0.0, max_iter=1, lambda_freeze_after=1)
+    FitOptions(lambda_freeze_after=None)
+
+
+def test_given_sigma_is_used():
+    X = generate(SimScenario(grid_size=(30, 25), contamination="outlying_rows", seed=4)).data
+    pair = fit(X, loss=RobustLossSpec(sigma=2.5)).components[0]
+    assert pair.history["sigma"] == 2.5
 
 
 def test_masked_input_rejected_by_rank_one_fitters():

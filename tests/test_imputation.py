@@ -99,7 +99,7 @@ def test_objective_nonincreasing_across_rounds():
     spec = TwoWayPenaltySpec(
         build_roughness_penalty(X.row_grid), build_roughness_penalty(X.col_grid), lam, lam
     )
-    loss = RobustLossSpec(theta=1.345, sigma=1.0, sigma_source="fixed")
+    loss = RobustLossSpec(theta=1.345, sigma=1.0)
 
     filled = np.where(mask, X.values, X.values.sum(1, keepdims=True) / mask.sum(1, keepdims=True))
     objectives = []

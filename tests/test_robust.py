@@ -129,12 +129,12 @@ def test_mad_degenerate_error():
 
 def test_loss_spec_validation():
     RobustLossSpec()
-    RobustLossSpec(theta=np.inf, sigma=1.0, sigma_source="fixed")
+    RobustLossSpec(theta=np.inf, sigma=1.0)
     with pytest.raises(ValueError):
         RobustLossSpec(theta=0.0)
     with pytest.raises(ValueError):
-        RobustLossSpec(sigma_source="fixed")  # needs a sigma
+        RobustLossSpec(sigma=0.0)
     with pytest.raises(ValueError):
-        RobustLossSpec(sigma_source="something_else")
+        RobustLossSpec(sigma=-1.0)
     spec = squared_loss_spec()
     assert np.isinf(spec.theta)
