@@ -8,7 +8,7 @@ chosen lambda minimizes the score over the grid.
 
 import numpy as np
 
-from robrsvd import ConditionalKernel, LambdaGrid, select_lambda
+from robrsvd import ConditionalKernel, LambdaGrid
 from robrsvd.decompose import fit_start
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import RobustLossSpec
@@ -28,12 +28,10 @@ print(f"SVD initialization: s = {s:.1f}, MAD residual scale = {sigma:.3f}")
 spec = TwoWayPenaltySpec(build_roughness_penalty(X.row_grid),
                          build_roughness_penalty(X.col_grid))
 # one eigendecomposition of the weighted penalty serves every candidate: in
-# that basis the penalized update is diagonal in lambda, so the scores and
-# hat traces of the whole grid come out as two arrays
+# that basis the penalized update is diagonal in lambda, so the kernel scores
+# the whole grid at once and picks the lambda with the smallest GCV score
 kernel = ConditionalKernel(X, u, weights, spec)
-grid = LambdaGrid.log_default(1e-8, 1e2, 15)
-scores, traces = kernel.scores(grid)
-chosen, trace = select_lambda(grid, scores=scores, traces=traces)
+chosen, trace = kernel.select(LambdaGrid.log_default(1e-8, 1e2, 15))
 
 print(f"\n{'lambda':>12s} {'GCV':>14s} {'hat trace':>10s}")
 for rec in trace.records:

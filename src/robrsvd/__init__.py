@@ -8,7 +8,7 @@ parameters. A missing cell is a zero weight in the same fit, and plain SVD
 and squared-loss regularized SVD baselines are included for comparison.
 """
 
-from .matrices import ObservedMatrix, ResidualMatrix, residual
+from .matrices import ObservedMatrix, ResidualMatrix
 from .robust import (
     DEFAULT_THETA,
     RobustLossSpec,
@@ -23,14 +23,9 @@ from .penalties import (
     build_roughness_penalty,
     two_way_penalty,
 )
-from .splines import SplineFunction, evaluate, interpolate
-from .updates import (
-    ConditionalKernel,
-    DegenerateSystemError,
-    update_u_given_v,
-    update_v_given_u,
-)
-from .selection import GcvRecord, GcvTrace, LambdaGrid, select_lambda
+from .splines import SplineFunction, interpolate
+from .updates import ConditionalKernel, DegenerateSystemError
+from .selection import GcvRecord, GcvTrace, LambdaGrid
 from .decompose import (
     ComponentPair,
     Decomposition,
@@ -69,15 +64,14 @@ from .dataio import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ObservedMatrix", "ResidualMatrix", "residual",
+    "ObservedMatrix", "ResidualMatrix",
     "DEFAULT_THETA", "RobustLossSpec", "estimate_scale_mad",
     "huber_psi", "huber_rho", "huber_weight", "squared_loss_spec",
     "TwoWayPenaltySpec", "build_roughness_penalty",
     "two_way_penalty",
-    "SplineFunction", "evaluate", "interpolate",
+    "SplineFunction", "interpolate",
     "ConditionalKernel", "DegenerateSystemError",
-    "update_u_given_v", "update_v_given_u",
-    "GcvRecord", "GcvTrace", "LambdaGrid", "select_lambda",
+    "GcvRecord", "GcvTrace", "LambdaGrid",
     "ComponentPair", "Decomposition", "FitOptions", "fit",
     "fit_rank_one_robrsvd", "fit_rank_one_rsvd", "fit_rank_one_svd", "huber_objective",
     "Rank2Config", "SimResult", "SimScenario", "SimTruth",

@@ -21,7 +21,7 @@ from . import __version__
 from .dataio import MatrixFile, format_number, load, log_transform, save, save_json
 from .decompose import METHODS, FitOptions, fit, fit_start, spline_penalties
 from .robust import DEFAULT_THETA, RobustLossSpec
-from .selection import GcvTrace, LambdaGrid, select_lambda
+from .selection import GcvTrace, LambdaGrid
 from .penalties import TwoWayPenaltySpec
 from .simulate import (
     SimScenario,
@@ -118,8 +118,6 @@ def _write_vector_csv(path, grid, values, grid_name: str) -> None:
 def cmd_decompose(cfg: dict) -> int:
     if not cfg["input"]:
         raise ValueError("decompose needs an input file")
-    os.makedirs(cfg["out"], exist_ok=True)
-
     X = load(_matrix_file(cfg))
     if cfg["log2_half"]:
         X = log_transform(X)
@@ -135,7 +133,9 @@ def cmd_decompose(cfg: dict) -> int:
         opts=opts,
     )
 
+    # created only now, so that a rejected command leaves no empty folder
     out = cfg["out"]
+    os.makedirs(out, exist_ok=True)
     as_json = cfg["output_format"] == "json"
     meta = []
     for k, pair in enumerate(decomp.components, start=1):
@@ -212,8 +212,6 @@ def _split_list(text, cast=str) -> list:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    os.makedirs(cfg["out"], exist_ok=True)
-
     scenarios = [
         SimScenario(rank=cfg["rank"], grid_size=(cfg["rows"], cfg["cols"]),
                     noise_variance=var, contamination=kind)
@@ -232,6 +230,7 @@ def cmd_simulate(cfg: dict) -> int:
         penalty_grid=_lambda_grid(cfg),
     )
 
+    os.makedirs(cfg["out"], exist_ok=True)
     if cfg["output_format"] in ("csv", "both"):
         write_summary_csv(result, os.path.join(cfg["out"], "summary.csv"))
     # failures are recorded only in the JSON summary, so it is written whenever there are any
@@ -268,9 +267,7 @@ def cmd_gcv_trace(cfg: dict) -> int:
         kernel = ConditionalKernel(X, u, weights, spec)
     else:
         kernel = ConditionalKernel.for_u(X, v, weights, spec)
-    grid = _lambda_grid(cfg)
-    scores, traces = kernel.scores(grid)
-    _, trace = select_lambda(grid, scores=scores, traces=traces)
+    _, trace = kernel.select(_lambda_grid(cfg))
     trace.write_csv(cfg["out"])
     write_manifest(None, "gcv-trace", cfg, filename=cfg["out"] + ".manifest.json")
     return 0
@@ -315,7 +312,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     grid.add_argument("--lambda-max", type=float, default=1e4)
     grid.add_argument("--lambda-count", type=int, default=20)
     sigma = argparse.ArgumentParser(add_help=False)
-    sigma.add_argument("--sigma", default="mad", help="'mad' or a positive number")
+    sigma.add_argument("--sigma", default="mad", help="'mad' or a positive finite number")
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="key = value file; explicit flags take precedence")
 

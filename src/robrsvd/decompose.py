@@ -22,7 +22,7 @@ import numpy as np
 from .matrices import ObservedMatrix, ResidualMatrix
 from .penalties import TwoWayPenaltySpec, build_roughness_penalty, two_way_penalty
 from .robust import RobustLossSpec, estimate_scale_mad, huber_rho, squared_loss_spec
-from .selection import LambdaGrid, select_lambda
+from .selection import LambdaGrid
 from .updates import ConditionalKernel
 
 __all__ = [
@@ -110,10 +110,9 @@ class Decomposition:
     def right_vectors(self) -> np.ndarray:
         return np.column_stack([c.v for c in self.components])
 
-    def reconstruction(self, rank: int = None) -> np.ndarray:
-        rank = len(self.components) if rank is None else rank
+    def reconstruction(self) -> np.ndarray:
         out = np.zeros(self.residual.residuals.shape)
-        for c in self.components[:rank]:
+        for c in self.components:
             out += c.reconstruction()
         return out
 
@@ -211,8 +210,7 @@ def _half_step(kernel: ConditionalKernel, grid: LambdaGrid, lam: float, selectin
     """
     trace = None
     if selecting:
-        scores, traces = kernel.scores(grid)
-        lam, trace = select_lambda(grid, scores=scores, traces=traces)
+        lam, trace = kernel.select(grid)
     x = kernel.solve(lam)
     s = float(np.linalg.norm(x))
     return lam, trace, s, (x / s if s else x)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ObservedMatrix", "ResidualMatrix", "residual"]
+__all__ = ["ObservedMatrix", "ResidualMatrix"]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -92,14 +92,6 @@ class ObservedMatrix:
     def is_complete(self) -> bool:
         return bool(self.mask.all())
 
-    @property
-    def n_observed(self) -> int:
-        return int(self.mask.sum())
-
-    def observed_values(self) -> np.ndarray:
-        """Flat array of the observed entries."""
-        return self.values[self.mask]
-
     def with_values(self, values: np.ndarray) -> "ObservedMatrix":
         """Same mask and grids, new values."""
         return ObservedMatrix(values, self.mask, self.row_grid, self.col_grid)
@@ -125,19 +117,3 @@ class ResidualMatrix:
 
     def observed(self) -> np.ndarray:
         return self.residuals[self.mask]
-
-
-def residual(X: ObservedMatrix, s: float, u: np.ndarray, v: np.ndarray) -> ResidualMatrix:
-    """Residual matrix of the rank-one fit ``s * u v^T`` on the observed cells.
-
-    Masked cells are set to 0 and flagged excluded through the returned mask.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    m, n = X.shape
-    if u.shape != (m,) or v.shape != (n,):
-        raise ValueError(f"expected u of length {m} and v of length {n}, got {u.shape} and {v.shape}")
-    if not np.isfinite(s):
-        raise ValueError("s must be finite")
-    r = np.where(X.mask, X.values - s * np.outer(u, v), 0.0)
-    return ResidualMatrix(r, X.mask)

@@ -109,9 +109,10 @@ def estimate_scale_mad(residuals) -> float:
 class RobustLossSpec:
     """Huber threshold and residual scale for a robust fit.
 
-    A given ``sigma`` is the scale, fixed. None (the default) estimates it
-    once, by MAD, from the residuals of a plain rank-one SVD of the data
-    before the robust iterations start (no per-iteration re-estimation).
+    A given ``sigma``, positive and finite, is the scale, fixed. None (the
+    default) estimates it once, by MAD, from the residuals of a plain
+    rank-one SVD of the data before the robust iterations start (no
+    per-iteration re-estimation).
     """
 
     theta: float = DEFAULT_THETA
@@ -119,8 +120,8 @@ class RobustLossSpec:
 
     def __post_init__(self):
         _check_theta(self.theta)
-        if self.sigma is not None and not float(self.sigma) > 0:
-            raise ValueError(f"fixed sigma must be a positive number, got {self.sigma}")
+        if self.sigma is not None and not 0 < float(self.sigma) < np.inf:
+            raise ValueError(f"fixed sigma must be a positive finite number, got {self.sigma}")
 
     def weights(self, residuals: np.ndarray, sigma: float) -> np.ndarray:
         """Weight matrix of the sigma-scaled residuals (0 stays 0 only via masks)."""

@@ -5,9 +5,9 @@ frozen at the current iteration: the squared distance between the penalized
 and unpenalized updates, normalized by the squared complement of the average
 hat-matrix trace. Selection is a plain grid search; the two parameters are
 decoupled because each score conditions on the other side's current value.
-This module holds the grid, the search and its record; the scores of the
-whole grid come as one array from ``updates.ConditionalKernel.scores``,
-which forms each conditional system.
+This module holds the grid and the search's record;
+``updates.ConditionalKernel.select``, which forms each conditional system,
+scores the whole grid as one array and picks its minimum.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LambdaGrid", "GcvRecord", "GcvTrace", "select_lambda"]
+__all__ = ["LambdaGrid", "GcvRecord", "GcvTrace"]
 
 
 @dataclass(frozen=True)
@@ -77,26 +77,3 @@ class GcvTrace:
             writer.writerow(["lambda", "gcv", "hat_trace", "chosen"])
             for r in self.records:
                 writer.writerow([repr(r.lam), repr(r.score), repr(r.hat_trace), int(r.chosen)])
-
-
-def select_lambda(grid: LambdaGrid, *, scores, traces) -> tuple[float, GcvTrace]:
-    """The grid value with the smallest finite GCV score, and the sweep's record.
-
-    ``scores`` and ``traces`` hold one GCV score and one hat trace per grid
-    value, as ``ConditionalKernel.scores(grid)`` returns them. Ties break
-    toward the smaller lambda; NaN and infinite scores never win. Raises if
-    no grid point has a finite score.
-    """
-    scores, traces = np.asarray(scores, dtype=float), np.asarray(traces, dtype=float)
-    if not scores.shape == traces.shape == (len(grid),):
-        raise ValueError(f"need one score and one trace per grid value ({len(grid)}), "
-                         f"got {scores.shape} and {traces.shape}")
-    finite = np.isfinite(scores)
-    if not finite.any():
-        raise ValueError("GCV degenerate on grid: no candidate produced a finite score")
-    chosen_idx = int(np.argmin(np.where(finite, scores, np.inf)))
-    records = tuple(
-        GcvRecord(lam, s, tr, i == chosen_idx)
-        for i, (lam, s, tr) in enumerate(zip(grid.values, scores.tolist(), traces.tolist()))
-    )
-    return grid.values[chosen_idx], GcvTrace(records)

@@ -17,7 +17,7 @@ from scipy.linalg import solveh_banded
 
 from .penalties import spline_qr
 
-__all__ = ["SplineFunction", "interpolate", "evaluate"]
+__all__ = ["SplineFunction", "interpolate"]
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,3 @@ def interpolate(values, grid) -> SplineFunction:
     m2 = np.zeros(grid.size)
     m2[1:-1] = solveh_banded(r_banded, q.T @ values)
     return SplineFunction(grid.copy(), values.copy(), m2)
-
-
-def evaluate(f: SplineFunction, t):
-    """Value of the spline at t (linear beyond the ends; see ``in_domain``)."""
-    return f(t)

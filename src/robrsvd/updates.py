@@ -9,8 +9,10 @@ block structure collapses U'WU to the diagonal sum_i u_i^2 w_ij and U'WY to
 sum_i u_i w_ij x_ij, so no mn-sized matrix is ever materialized; the systems
 are only n-by-n (or m-by-m for the mirrored update). ``ConditionalKernel``
 is the one place that forms this system: it scores a whole lambda grid at
-once (GCV scores and hat traces as two arrays) and solves at the chosen
-lambda (one Cholesky solve), so a selecting half-step forms its system once.
+once (GCV scores and hat traces as two arrays), selects the grid value with
+the smallest score together with the sweep's record, and solves at the
+chosen lambda (one Cholesky solve), so a selecting half-step forms its
+system once.
 """
 
 from __future__ import annotations
@@ -22,13 +24,9 @@ from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .matrices import ObservedMatrix
 from .penalties import TwoWayPenaltySpec
+from .selection import GcvRecord, GcvTrace, LambdaGrid
 
-__all__ = [
-    "ConditionalKernel",
-    "DegenerateSystemError",
-    "update_v_given_u",
-    "update_u_given_v",
-]
+__all__ = ["ConditionalKernel", "DegenerateSystemError"]
 
 
 class DegenerateSystemError(ValueError):
@@ -55,6 +53,7 @@ class ConditionalKernel:
     Demmler-Reinsch basis), made on its first call: with G = diag(e)^-1/2 P
     and f = 1 / (1 + 2 alpha lam mu), the inverse is G diag(f) G', so a grid
     of K candidates costs one K-by-n product instead of K factorizations.
+    ``select`` picks the grid value with the smallest score.
     ``ConditionalKernel.for_u`` gives the u-update's kernel. Raises
     DegenerateSystemError naming the indices whose total weight is zero.
     """
@@ -142,25 +141,20 @@ class ConditionalKernel:
         scores = np.einsum("kj,kj->k", gap, gap) / n / np.maximum(free, 1e-12) ** 2
         return np.where(free > 1e-12, scores, np.inf), traces
 
-    def score(self, lam: float) -> tuple[float, float]:
-        """(GCV score, hat trace) at one ``lam``: see :meth:`scores`."""
-        scores, traces = self.scores((lam,))
-        return float(scores[0]), float(traces[0])
+    def select(self, grid: LambdaGrid) -> tuple[float, GcvTrace]:
+        """The grid value with the smallest finite GCV score, and the sweep's record.
 
-    def trace(self, lam: float) -> float:
-        """Hat-matrix trace at one ``lam``: see :meth:`scores`."""
-        return self.score(lam)[1]
-
-
-def update_v_given_u(X, u: np.ndarray, weights, spec: TwoWayPenaltySpec) -> np.ndarray:
-    """Minimizer of the penalized weighted criterion in v for fixed u.
-
-    Weights must be zero at masked cells; those cells then drop out of both
-    sides of the normal equations. Every column needs some positive weight.
-    """
-    return ConditionalKernel(X, u, weights, spec).solve(spec.lambda_v)
-
-
-def update_u_given_v(X, v: np.ndarray, weights, spec: TwoWayPenaltySpec) -> np.ndarray:
-    """Mirror of :func:`update_v_given_u`: rows and columns swap roles."""
-    return ConditionalKernel.for_u(X, v, weights, spec).solve(spec.lambda_u)
+        Scores the whole grid (:meth:`scores`). Ties break toward the smaller
+        lambda; NaN and infinite scores never win. Raises ValueError if no
+        grid value has a finite score.
+        """
+        scores, traces = self.scores(grid)
+        finite = np.isfinite(scores)
+        if not finite.any():
+            raise ValueError("GCV degenerate on grid: no candidate produced a finite score")
+        chosen_idx = int(np.argmin(np.where(finite, scores, np.inf)))
+        records = tuple(
+            GcvRecord(lam, s, tr, i == chosen_idx)
+            for i, (lam, s, tr) in enumerate(zip(grid.values, scores.tolist(), traces.tolist()))
+        )
+        return grid.values[chosen_idx], GcvTrace(records)

@@ -21,6 +21,7 @@ from robrsvd.decompose import rank_one_fit
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import huber_weight
+from robrsvd.updates import ConditionalKernel
 
 
 def svec(a: np.ndarray) -> np.ndarray:
@@ -49,6 +50,16 @@ def dense_systems_v(X, u, weights, spec: TwoWayPenaltySpec):
     a = design.T @ w_diag @ design + 2.0 * dense_conditional_penalty_v(u, spec)
     rhs = design.T @ w_diag @ svec(X)
     return design, w_diag, a, rhs
+
+
+def update_v_given_u(X, u, weights, spec: TwoWayPenaltySpec) -> np.ndarray:
+    """The kernel's v-update at ``spec.lambda_v``, the route the dense oracles check."""
+    return ConditionalKernel(X, u, weights, spec).solve(spec.lambda_v)
+
+
+def update_u_given_v(X, v, weights, spec: TwoWayPenaltySpec) -> np.ndarray:
+    """Mirror of :func:`update_v_given_u`: rows and columns swap roles."""
+    return ConditionalKernel.for_u(X, v, weights, spec).solve(spec.lambda_u)
 
 
 def dense_update_v(X, u, weights, spec) -> np.ndarray:
@@ -90,7 +101,7 @@ def imputation_oracle(X: ObservedMatrix, method: str, start: str = "row_mean", t
     axis = 1 if start == "row_mean" else 0
     means = X.values.sum(axis=axis, keepdims=True) / X.mask.sum(axis=axis, keepdims=True)
     filled = np.where(X.mask, X.values, means)
-    atol = tol * np.abs(X.observed_values()).max()
+    atol = tol * np.abs(X.values[X.mask]).max()
     for _ in range(max_rounds):
         pair = rank_one_fit(ObservedMatrix(filled, None, X.row_grid, X.col_grid), method, **fit_kwargs)
         refilled = np.where(X.mask, X.values, pair.reconstruction())

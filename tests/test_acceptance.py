@@ -32,8 +32,8 @@ from robrsvd.simulate import (
     run_benchmark,
 )
 from robrsvd.splines import interpolate
-from robrsvd.updates import ConditionalKernel, update_u_given_v, update_v_given_u
-from conftest import dense_gcv_v, dense_hat_trace_v, dense_update_v, mirror
+from robrsvd.updates import ConditionalKernel
+from conftest import dense_gcv_v, dense_hat_trace_v, dense_update_v, mirror, update_u_given_v, update_v_given_u
 
 
 def report(num, name, ok, detail=""):
@@ -88,18 +88,14 @@ def test_criterion_2_oracle_equivalence(small_suite):
             dense_update_v(xt, inst.v, wt, sw)))
         kernel_v = ConditionalKernel(inst.values, inst.u, inst.weights, inst.spec)
         kernel_u = ConditionalKernel.for_u(inst.values, inst.v, inst.weights, inst.spec)
-        worst = max(worst, rel(
-            kernel_v.trace(inst.spec.lambda_v),
-            dense_hat_trace_v(inst.values, inst.u, inst.weights, inst.spec)))
-        worst = max(worst, rel(
-            kernel_u.trace(inst.spec.lambda_u),
-            dense_hat_trace_v(xt, inst.v, wt, sw)))
-        got, got_tr = kernel_v.score(inst.spec.lambda_v)
+        (got,), (got_tr,) = kernel_v.scores((inst.spec.lambda_v,))
+        (got_u,), (got_utr,) = kernel_u.scores((inst.spec.lambda_u,))
+        worst = max(worst, rel(got_tr, dense_hat_trace_v(inst.values, inst.u, inst.weights, inst.spec)))
+        worst = max(worst, rel(got_utr, dense_hat_trace_v(xt, inst.v, wt, sw)))
         want, want_tr = dense_gcv_v(inst.values, inst.u, inst.weights, inst.spec)
         if np.isfinite(want):
             worst = max(worst, rel(got, want))
         worst = max(worst, rel(got_tr, want_tr))
-        got_u, got_utr = kernel_u.score(inst.spec.lambda_u)
         want_u, want_utr = dense_gcv_v(xt, inst.v, wt, sw)
         if np.isfinite(want_u):
             worst = max(worst, rel(got_u, want_u))

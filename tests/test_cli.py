@@ -135,6 +135,20 @@ def test_simulate_rejects_threads_below_one(tmp_path, capsys):
     assert not (out / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "{diag}", "--rank", "99"], "rank must be between 1 and 2, got 99"),
+    (["decompose", "{diag}", "--sigma", "inf"], "fixed sigma must be a positive finite number, got inf"),
+    (["decompose", "{missing}"], "absent.csv"),
+    (["simulate", "--rows", "12", "--cols", "12", "--replications", "1", "--methods", "foo"], "unknown method"),
+], ids=["decompose-rank", "decompose-sigma", "decompose-missing", "simulate-methods"])
+def test_a_rejected_command_creates_no_out_folder(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    paths = {"diag": write_diag_csv(tmp_path), "missing": str(tmp_path / "absent.csv")}
+    assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_rejects_lambda_freeze_after_zero(tmp_path, capsys):
     path, _ = contaminated_fixture(tmp_path)
     rc = main(["decompose", path, "--lambda-freeze-after", "0", "--out", str(tmp_path / "out")])

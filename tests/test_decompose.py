@@ -78,9 +78,11 @@ def test_infinite_threshold_equals_rsvd(X, sigma):
     np.testing.assert_allclose(rob.v, rs.v, atol=1e-10)
 
 
-def test_rsvd_with_vanishing_penalty_equals_svd():
-    rng = np.random.default_rng(72)
-    X = rng.standard_normal((10, 8))
+@settings(max_examples=30, deadline=None)
+@given(X=noisy_rank_one())
+def test_rsvd_with_vanishing_penalty_equals_svd(X):
+    # complete input checks the IRLS loop against LAPACK; masked input checks
+    # rsvd with spline penalties at lambda = 0 against svd's zero penalties
     rs = fit_rank_one_rsvd(X, penalty_grid=LambdaGrid((0.0,)))
     sv = fit_rank_one_svd(X)
     assert abs(rs.s - sv.s) < 1e-8 * sv.s

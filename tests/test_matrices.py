@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from robrsvd.matrices import ObservedMatrix, ResidualMatrix, residual
+from robrsvd.decompose import fit
+from robrsvd.matrices import ObservedMatrix, ResidualMatrix
 
 
 def test_residual_exact_fit_is_zero():
@@ -9,16 +10,8 @@ def test_residual_exact_fit_is_zero():
     u = rng.standard_normal(5)
     v = rng.standard_normal(4)
     X = ObservedMatrix(np.outer(u, v))
-    r = residual(X, 1.0, u, v)
+    r = fit(X, "svd").residual
     np.testing.assert_allclose(r.residuals, 0.0, atol=1e-14)
-
-
-def test_residual_zero_fit_returns_values():
-    rng = np.random.default_rng(1)
-    values = rng.standard_normal((4, 6))
-    X = ObservedMatrix(values)
-    r = residual(X, 0.0, np.ones(4), np.ones(6))
-    np.testing.assert_array_equal(r.residuals, values)
 
 
 def test_residual_masked_cell_excluded_matches_elementwise_loop():
@@ -27,10 +20,9 @@ def test_residual_masked_cell_excluded_matches_elementwise_loop():
     mask = np.ones((3, 2), dtype=bool)
     mask[1, 0] = False
     X = ObservedMatrix(values, mask)
-    u = rng.standard_normal(3)
-    v = rng.standard_normal(2)
-    s = 1.7
-    r = residual(X, s, u, v)
+    decomp = fit(X, "svd")
+    r, pair = decomp.residual, decomp.components[0]
+    s, u, v = pair.s, pair.u, pair.v
 
     # independent elementwise oracle
     for i in range(3):
@@ -47,29 +39,9 @@ def test_residual_reconstructs_observed_cells():
     values = rng.standard_normal((6, 5))
     mask = rng.random((6, 5)) > 0.2
     X = ObservedMatrix(values, mask)
-    u = rng.standard_normal(6)
-    v = rng.standard_normal(5)
-    r = residual(X, 2.5, u, v)
-    recon = r.residuals + 2.5 * np.outer(u, v)
+    decomp = fit(X, "svd", rank=2)
+    recon = decomp.residual.residuals + decomp.reconstruction()
     np.testing.assert_allclose(recon[mask], X.values[mask], rtol=0, atol=1e-12)
-
-
-def test_residual_bilinear_in_scale():
-    rng = np.random.default_rng(4)
-    X = ObservedMatrix(rng.standard_normal((4, 4)))
-    u = rng.standard_normal(4)
-    v = rng.standard_normal(4)
-    a = residual(X, 3.0 * 1.2, u, v)
-    b = residual(X, 1.2, 3.0 * u, v)
-    np.testing.assert_allclose(a.residuals, b.residuals, rtol=1e-12)
-
-
-def test_residual_dimension_mismatch():
-    X = ObservedMatrix(np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        residual(X, 1.0, np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        residual(X, np.inf, np.zeros(3), np.zeros(2))
 
 
 def test_observed_matrix_validation():
@@ -85,7 +57,7 @@ def test_observed_matrix_validation():
     vals = np.array([[1.0, np.nan], [2.0, 3.0]])
     X = ObservedMatrix(vals, np.array([[True, False], [True, True]]))
     assert X.values[0, 1] == 0.0
-    assert X.n_observed == 3
+    assert int(X.mask.sum()) == 3
 
 
 def test_default_grids_equally_spaced():

@@ -138,3 +138,10 @@ def test_loss_spec_validation():
         RobustLossSpec(sigma=-1.0)
     spec = squared_loss_spec()
     assert np.isinf(spec.theta)
+
+
+def test_loss_spec_rejects_an_infinite_sigma():
+    # an infinite scale used to pass, and the objective's inf * 0 made every
+    # fit run to max_iter with a NaN objective
+    with pytest.raises(ValueError, match="positive finite number, got inf"):
+        RobustLossSpec(sigma=np.inf)

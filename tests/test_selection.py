@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
-from robrsvd.selection import GcvTrace, LambdaGrid, select_lambda
-from robrsvd.updates import ConditionalKernel, DegenerateSystemError, update_u_given_v, update_v_given_u
-from conftest import dense_gcv_v, dense_systems_v, mirror, random_psd
+from robrsvd.selection import GcvTrace, LambdaGrid
+from robrsvd.updates import ConditionalKernel, DegenerateSystemError
+from conftest import dense_gcv_v, dense_systems_v, mirror, random_psd, update_u_given_v, update_v_given_u
 
 
 def spline_spec(m, n, lam_u=0.0, lam_v=0.0):
@@ -25,7 +26,7 @@ def test_gcv_guard_returns_infinity_when_unpenalized():
     X = rng.standard_normal((5, 4))
     u = rng.standard_normal(5)
     w = np.full((5, 4), 2.0)
-    assert ConditionalKernel(X, u, w, spline_spec(5, 4, 0.0, 0.0)).score(0.0)[0] == np.inf
+    assert ConditionalKernel(X, u, w, spline_spec(5, 4, 0.0, 0.0)).scores((0.0,))[0][0] == np.inf
 
 
 def test_gcv_matches_dense_oracle():
@@ -34,7 +35,7 @@ def test_gcv_matches_dense_oracle():
     u = rng.standard_normal(4)
     w = rng.uniform(0.3, 2.0, (4, 3))
     spec = spline_spec(4, 3, 0.2, 0.7)
-    got, got_tr = ConditionalKernel(X, u, w, spec).score(spec.lambda_v)
+    (got,), (got_tr,) = ConditionalKernel(X, u, w, spec).scores((spec.lambda_v,))
     want, want_tr = dense_gcv_v(X, u, w, spec)
     assert got == pytest.approx(want, rel=1e-10)
     assert got_tr == pytest.approx(want_tr, rel=1e-10)
@@ -46,7 +47,7 @@ def test_gcv_u_matches_dense_oracle():
     v = rng.standard_normal(3)
     w = rng.uniform(0.3, 2.0, (5, 3))
     spec = spline_spec(5, 3, 0.9, 0.1)
-    got, got_tr = ConditionalKernel.for_u(X, v, w, spec).score(spec.lambda_u)
+    (got,), (got_tr,) = ConditionalKernel.for_u(X, v, w, spec).scores((spec.lambda_u,))
     xt, wt, sw = mirror(X, w, spec)
     want, want_tr = dense_gcv_v(xt, v, wt, sw)
     assert got == pytest.approx(want, rel=1e-10)
@@ -56,7 +57,7 @@ def test_gcv_u_matches_dense_oracle():
 def test_gcv_small_suite_oracle_equivalence(small_suite):
     for inst in small_suite:
         kernel = ConditionalKernel(inst.values, inst.u, inst.weights, inst.spec)
-        got, got_tr = kernel.score(inst.spec.lambda_v)
+        (got,), (got_tr,) = kernel.scores((inst.spec.lambda_v,))
         want, want_tr = dense_gcv_v(inst.values, inst.u, inst.weights, inst.spec)
         assert got_tr == pytest.approx(want_tr, rel=1e-10)
         if np.isinf(want):
@@ -99,8 +100,7 @@ def test_selected_lambda_invariant_under_u_rescaling():
     grid = LambdaGrid.log_default(1e-6, 1e2, 12)
 
     def chooser(scale):
-        scores, traces = ConditionalKernel(X, scale * u, w, spec0).scores(grid)
-        lam, _ = select_lambda(grid, scores=scores, traces=traces)
+        lam, _ = ConditionalKernel(X, scale * u, w, spec0).select(grid)
         return lam
 
     assert chooser(1.0) == chooser(7.5)
@@ -109,42 +109,41 @@ def test_selected_lambda_invariant_under_u_rescaling():
 NO_TRACES = np.full(3, np.nan)
 
 
+def select_over(grid, scores, traces=NO_TRACES):
+    # ConditionalKernel.select on a stand-in sweep that returns fixed scores
+    sweep = SimpleNamespace(scores=lambda _: (np.asarray(scores, dtype=float), np.asarray(traces, dtype=float)))
+    return ConditionalKernel.select(sweep, grid)
+
+
 def test_select_lambda_basic_and_ties():
-    lam, trace = select_lambda(LambdaGrid((0.1, 1.0, 10.0)), scores=[3.0, 1.0, 2.0], traces=NO_TRACES)
+    lam, trace = select_over(LambdaGrid((0.1, 1.0, 10.0)), [3.0, 1.0, 2.0])
     assert lam == 1.0
     assert trace.chosen.lam == 1.0
     assert sum(r.chosen for r in trace.records) == 1
 
-    lam, _ = select_lambda(LambdaGrid((0.1, 1.0, 10.0)), scores=[1.0, 1.0, 5.0], traces=NO_TRACES)
+    lam, _ = select_over(LambdaGrid((0.1, 1.0, 10.0)), [1.0, 1.0, 5.0])
     assert lam == 0.1  # ties break toward smaller lambda
 
 
 def test_select_lambda_all_nonfinite_errors():
     with pytest.raises(ValueError, match="degenerate"):
-        select_lambda(LambdaGrid((0.1, 1.0)), scores=[np.inf, np.inf], traces=[np.nan, np.nan])
+        select_over(LambdaGrid((0.1, 1.0)), [np.inf, np.inf], [np.nan, np.nan])
 
 
 def test_select_lambda_skips_nan_scores():
-    lam, trace = select_lambda(LambdaGrid((0.1, 1.0, 10.0)), scores=[np.nan, 2.0, 1.0], traces=NO_TRACES)
+    lam, trace = select_over(LambdaGrid((0.1, 1.0, 10.0)), [np.nan, 2.0, 1.0])
     assert lam == 10.0
     assert [r.chosen for r in trace.records] == [False, False, True]
     assert np.isnan(trace.records[0].score)
     with pytest.raises(ValueError, match="degenerate"):
-        select_lambda(LambdaGrid((0.1, 1.0, 10.0)), scores=[np.nan, np.inf, np.nan], traces=NO_TRACES)
-
-
-def test_select_lambda_needs_one_score_and_trace_per_candidate():
-    with pytest.raises(ValueError, match=r"per grid value \(3\)"):
-        select_lambda(LambdaGrid((0.1, 1.0, 10.0)), scores=[1.0, 2.0], traces=[1.0, 2.0])
-    with pytest.raises(TypeError):
-        select_lambda(LambdaGrid((0.1, 1.0, 10.0)), [3.0, 1.0, 2.0], NO_TRACES)
+        select_over(LambdaGrid((0.1, 1.0, 10.0)), [np.nan, np.inf, np.nan])
 
 
 def test_select_lambda_grid_argmin_near_continuous_argmin():
     # quadratic in log-lambda with its minimum at log10 = 0.3
     grid = LambdaGrid(tuple(np.logspace(-2, 2, 17)))  # quarter-decade spacing
     scores = (np.log10(grid.values) - 0.3) ** 2 + 1.0
-    lam, _ = select_lambda(grid, scores=scores, traces=np.full(len(grid), np.nan))
+    lam, _ = select_over(grid, scores, np.full(len(grid), np.nan))
     assert abs(np.log10(lam) - 0.3) <= 0.25 + 1e-12
 
 
@@ -184,7 +183,7 @@ def test_log_default_rejects_a_count_that_contradicts_the_bounds(lo, hi, num):
 
 
 def test_trace_csv_schema(tmp_path):
-    _, trace = select_lambda(LambdaGrid((0.1, 1.0)), scores=[3.0, 1.0], traces=[4.2, 4.2])
+    _, trace = select_over(LambdaGrid((0.1, 1.0)), [3.0, 1.0], [4.2, 4.2])
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -231,9 +230,8 @@ def assert_criterion_2_on_default_grid(small_suite, sweep):
 
 def test_one_kernel_scores_the_whole_grid(small_suite):
     def one_at_a_time(kernel, grid):
-        pairs = [kernel.score(lam) for lam in grid]
-        assert [kernel.trace(lam) for lam in grid] == [tr for _, tr in pairs]
-        return zip(*pairs)
+        pairs = [kernel.scores((lam,)) for lam in grid]
+        return [s[0] for s, _ in pairs], [tr[0] for _, tr in pairs]
 
     assert_criterion_2_on_default_grid(small_suite, one_at_a_time)
 
@@ -251,8 +249,7 @@ def test_grid_scores_are_the_one_candidate_scores(small_suite):
             scores, traces = kernel.scores(grid)
             assert scores.shape == traces.shape == (len(grid),)
             for lam, got, got_tr in zip(grid, scores, traces):
-                want, want_tr = kernel.score(lam)
-                assert got_tr == pytest.approx(kernel.trace(lam), rel=1e-14)
+                (want,), (want_tr,) = kernel.scores((lam,))
                 assert got_tr == pytest.approx(want_tr, rel=1e-14)
                 assert got == pytest.approx(want, rel=1e-14)
 
@@ -261,8 +258,7 @@ def test_selecting_half_step_solves_the_system_it_scored(small_suite):
     grid = LambdaGrid.log_default()
     for inst in small_suite[:12]:
         for kernel, (X, u, w, spec) in both_sides(inst):
-            scores, traces = kernel.scores(grid)
-            lam, _ = select_lambda(grid, scores=scores, traces=traces)
+            lam, _ = kernel.select(grid)
             np.testing.assert_array_equal(
                 kernel.solve(lam), update_v_given_u(X, u, w, spec.with_lambdas(lambda_v=lam)))
 
@@ -282,7 +278,7 @@ def test_kernel_trace_nonincreasing_and_within_n(n, seed, log_d, rank):
     # one-row problem: with u = [1] the design diagonal is the weight row itself
     spec = TwoWayPenaltySpec(np.zeros((1, 1)), (omega + omega.T) / 2.0)
     kernel = ConditionalKernel(rng.standard_normal((1, n)), np.ones(1), d[None, :], spec)
-    traces = np.array([kernel.trace(lam) for lam in np.logspace(-8, 8, 33)])
+    traces = np.array([kernel.scores((lam,))[1][0] for lam in np.logspace(-8, 8, 33)])
     assert np.all(traces > 0.0)
     assert np.all(traces <= n * (1.0 + 1e-12))  # n up to rounding
     assert np.all(np.diff(traces) <= 1e-12 * n)
@@ -297,7 +293,7 @@ def test_kernel_rejects_indefinite_penalty():
     omega_v = q @ np.diag([2.0, 1.0, 0.5, -0.1]) @ q.T
     spec = TwoWayPenaltySpec(random_psd(rng, 5), omega_v, 0.0, 1.0)
     with pytest.raises(DegenerateSystemError, match="not nonnegative definite"):
-        ConditionalKernel(X, u, w, spec).trace(1.0)
+        ConditionalKernel(X, u, w, spec).scores((1.0,))
 
 
 def linear_u_in_null_space():
@@ -318,8 +314,8 @@ def test_kernel_clips_rounding_level_negative_penalty_of_the_fixed_side():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         kernel = ConditionalKernel(X, u, w, spec)
-        traces = [kernel.trace(lam) for lam in (0.0, 1.0, 1e4)]
-        assert np.isfinite(kernel.score(1.0)[0])
+        traces = [kernel.scores((lam,))[1][0] for lam in (0.0, 1.0, 1e4)]
+        assert np.isfinite(kernel.scores((1.0,))[0][0])
     assert traces[0] == pytest.approx(6.0, rel=1e-12)
     assert 0.0 < traces[2] <= traces[1] <= traces[0]
 
@@ -350,8 +346,9 @@ def test_kernel_clips_rounding_level_negative_eigenvalues():
 
     clipped, exact = kernel(-1e-13), kernel(0.0)
     for lam in (1.0, 1e4):
-        assert clipped.trace(lam) == pytest.approx(exact.trace(lam), rel=1e-9)
+        assert clipped.scores((lam,))[1][0] == pytest.approx(exact.scores((lam,))[1][0], rel=1e-9)
     # unclipped, f = 1 / (1 + 2 alpha lam mu) would be negative here; clipped,
     # the trace settles on the penalty's one-dimensional null space
-    assert clipped.trace(1e14) == pytest.approx(1.0, abs=1e-3)
-    assert np.isfinite(clipped.score(1e14)[0])
+    (score,), (trace,) = clipped.scores((1e14,))
+    assert trace == pytest.approx(1.0, abs=1e-3)
+    assert np.isfinite(score)

@@ -3,7 +3,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from robrsvd.penalties import build_roughness_penalty
-from robrsvd.splines import evaluate, interpolate
+from robrsvd.splines import interpolate
 from test_penalties import spline_curvature_energy
 
 
@@ -22,7 +22,7 @@ def test_interpolates_knots_exactly():
     f = rng.standard_normal(9)
     spline = interpolate(f, grid)
     np.testing.assert_allclose(spline(grid), f, atol=1e-12)
-    assert evaluate(spline, grid[3]) == pytest.approx(f[3], abs=1e-12)
+    assert spline(grid[3]) == pytest.approx(f[3], abs=1e-12)
 
 
 def test_midpoint_of_linear_data_is_average():

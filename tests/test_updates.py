@@ -7,13 +7,15 @@ from robrsvd.decompose import FitOptions, fit_rank_one_robrsvd
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import huber_weight
-from robrsvd.updates import ConditionalKernel, DegenerateSystemError, update_u_given_v, update_v_given_u
+from robrsvd.updates import ConditionalKernel, DegenerateSystemError
 from conftest import (
     dense_gcv_v,
     dense_hat_trace_v,
     dense_update_v,
     mirror,
     random_psd,
+    update_u_given_v,
+    update_v_given_u,
 )
 
 
@@ -112,7 +114,7 @@ def test_hat_trace_equals_n_when_unpenalized():
     u = rng.standard_normal(6)
     w = rng.uniform(0.5, 2.0, (6, 5))
     kernel = ConditionalKernel(np.zeros((6, 5)), u, w, zero_spec(6, 5, rng))
-    assert kernel.trace(0.0) == pytest.approx(5.0, rel=1e-12)
+    assert kernel.scores((0.0,))[1][0] == pytest.approx(5.0, rel=1e-12)
 
 
 def test_hat_trace_matches_explicit_hat_matrix():
@@ -121,7 +123,7 @@ def test_hat_trace_matches_explicit_hat_matrix():
     u = rng.standard_normal(4)
     w = rng.uniform(0.2, 2.0, (4, 3))
     spec = TwoWayPenaltySpec(random_psd(rng, 4), random_psd(rng, 3), 0.6, 0.25)
-    got = ConditionalKernel(X, u, w, spec).trace(spec.lambda_v)
+    _, (got,) = ConditionalKernel(X, u, w, spec).scores((spec.lambda_v,))
     want = dense_hat_trace_v(X, u, w, spec)  # trace of the explicit 12x12 hat matrix
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -132,7 +134,7 @@ def test_hat_trace_u_matches_dense():
     v = rng.standard_normal(4)
     w = rng.uniform(0.2, 2.0, (5, 4))
     spec = TwoWayPenaltySpec(random_psd(rng, 5), random_psd(rng, 4), 0.3, 0.8)
-    got = ConditionalKernel.for_u(X, v, w, spec).trace(spec.lambda_u)
+    _, (got,) = ConditionalKernel.for_u(X, v, w, spec).scores((spec.lambda_u,))
     xt, wt, sw = mirror(X, w, spec)
     want = dense_hat_trace_v(xt, v, wt, sw)
     assert got == pytest.approx(want, rel=1e-10)
@@ -147,7 +149,7 @@ def test_hat_trace_monotone_in_lambda_and_shrinks_below_n():
     omega_v = build_roughness_penalty(np.linspace(0, 1, n))
     lams = np.logspace(-8, 10, 19)
     kernel = ConditionalKernel(np.zeros((m, n)), u, w, TwoWayPenaltySpec(omega_u, omega_v))
-    traces = np.array([kernel.trace(lam) for lam in lams])
+    traces = np.array([kernel.scores((lam,))[1][0] for lam in lams])
     well_conditioned = lams <= 1e4
     assert np.all(np.diff(traces[well_conditioned]) <= 1e-9)
     # beyond that the solves approach the precision limit; allow roundoff blips
@@ -181,7 +183,7 @@ def test_small_instance_suite_oracle_equivalence(small_suite):
                                    atol=1e-10 * max(1.0, np.abs(want_u).max()))
 
         kernel = ConditionalKernel(inst.values, inst.u, inst.weights, inst.spec)
-        got_tr = kernel.trace(inst.spec.lambda_v)
+        _, (got_tr,) = kernel.scores((inst.spec.lambda_v,))
         want_tr = dense_hat_trace_v(inst.values, inst.u, inst.weights, inst.spec)
         assert got_tr == pytest.approx(want_tr, rel=1e-10)
 

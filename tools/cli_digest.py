@@ -10,9 +10,10 @@ Outputs are byte-identical only at the same BLAS threading, so the BLAS
 thread variables default to 1. Two runs, or two checkouts, are compared with
 ``diff``. The commands cover decompose (svd, rsvd and robrsvd at ranks 1 and
 2 on complete and masked input, in CSV and JSON, plus a fixed sigma with
-lambda frozen after one iteration), gcv-trace on both sides, simulate with
-and without missing cells at 1 and 2 workers, and transform of a triplet
-file with its own missing token.
+lambda frozen after one iteration), gcv-trace on both sides and on a
+one-point lambda grid of both inputs, plus gcv-trace at a fixed sigma,
+simulate with and without missing cells at 1 and 2 workers, and transform
+of a triplet file with its own missing token.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ def commands(inputs: dict) -> list:
                      "--out", f"out/decompose_{name}_fixed_sigma"])
         for side in ("u", "v"):
             runs.append(["gcv-trace", path, "--trace", side, "--out", f"out/gcv_{name}_{side}.csv"])
+        runs.append(["gcv-trace", path, "--lambda-min", "0.5", "--lambda-max", "0.5", "--lambda-count", "1",
+                     "--out", f"out/gcv_{name}_one_point.csv"])
+    runs.append(["gcv-trace", inputs["complete"], "--sigma", "2.5", "--out", "out/gcv_complete_fixed_sigma.csv"])
     for mask_count in (0, 20):
         for threads in (1, 2):
             runs.append(["simulate", "--rows", "20", "--cols", "20", "--replications", "2", "--seed", "5",
