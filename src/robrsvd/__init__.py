@@ -8,7 +8,7 @@ parameters. A missing cell is a zero weight in the same fit, and plain SVD
 and squared-loss regularized SVD baselines are included for comparison.
 """
 
-from .matrices import ObservedMatrix, ResidualMatrix
+from .matrices import ObservedMatrix
 from .robust import (
     DEFAULT_THETA,
     RobustLossSpec,
@@ -64,7 +64,7 @@ from .dataio import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ObservedMatrix", "ResidualMatrix",
+    "ObservedMatrix",
     "DEFAULT_THETA", "RobustLossSpec", "estimate_scale_mad",
     "huber_psi", "huber_rho", "huber_weight", "squared_loss_spec",
     "TwoWayPenaltySpec", "build_roughness_penalty",

@@ -9,7 +9,6 @@ numbers with 17 significant digits so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -18,7 +17,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataio import MatrixFile, format_number, load, log_transform, save, save_json
+from .dataio import MatrixFile, format_number, load, log_transform, save, save_json, write_csv
 from .decompose import METHODS, FitOptions, fit, fit_start, spline_penalties
 from .robust import DEFAULT_THETA, RobustLossSpec
 from .selection import GcvTrace, LambdaGrid
@@ -107,14 +106,6 @@ def _loss(cfg: dict) -> RobustLossSpec:
 # decompose
 
 
-def _write_vector_csv(path, grid, values, grid_name: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([grid_name, "value"])
-        for g, val in zip(grid, values):
-            writer.writerow([repr(float(g)), format_number(val)])
-
-
 def cmd_decompose(cfg: dict) -> int:
     if not cfg["input"]:
         raise ValueError("decompose needs an input file")
@@ -136,46 +127,14 @@ def cmd_decompose(cfg: dict) -> int:
     # created only now, so that a rejected command leaves no empty folder
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    as_json = cfg["output_format"] == "json"
-    meta = []
-    for k, pair in enumerate(decomp.components, start=1):
-        meta.append({
-            "component": k,
-            "s": pair.s,
-            "lambda_u": pair.lambda_u,
-            "lambda_v": pair.lambda_v,
-            "iterations": pair.iterations,
-            "converged": pair.converged,
-            "final_objective": pair.final_objective,
-        })
-        if as_json:
-            continue
-        _write_vector_csv(os.path.join(out, f"component_{k}_u.csv"), X.row_grid, pair.u, "row_grid")
-        _write_vector_csv(os.path.join(out, f"component_{k}_v.csv"), X.col_grid, pair.v, "col_grid")
-        with open(os.path.join(out, f"component_{k}_info.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["s", "lambda_u", "lambda_v", "iterations", "converged"])
-            writer.writerow([format_number(pair.s), format_number(pair.lambda_u),
-                             format_number(pair.lambda_v), pair.iterations, int(pair.converged)])
-        for side, trace in (("u", pair.history.get("gcv_trace_u")),
-                            ("v", pair.history.get("gcv_trace_v"))):
-            if isinstance(trace, GcvTrace):
-                trace.write_csv(os.path.join(out, f"component_{k}_gcv_{side}.csv"))
-        # dense spline evaluations of both vectors, for plotting (splines
-        # need at least 3 knots)
-        if X.row_grid.size >= 3:
-            interpolate(pair.u, X.row_grid).export_csv(
-                os.path.join(out, f"component_{k}_u_dense.csv"), num=cfg["spline_points"])
-        if X.col_grid.size >= 3:
-            interpolate(pair.v, X.col_grid).export_csv(
-                os.path.join(out, f"component_{k}_v_dense.csv"), num=cfg["spline_points"])
-
     recon = X.with_values(np.where(X.mask, decomp.reconstruction(), 0.0))
-    if as_json:
+    if cfg["output_format"] == "json":
         payload = {
             "components": [
-                dict(info, u=list(map(float, pair.u)), v=list(map(float, pair.v)))
-                for info, pair in zip(meta, decomp.components)
+                {"component": k, "s": pair.s, "lambda_u": pair.lambda_u, "lambda_v": pair.lambda_v,
+                 "iterations": pair.iterations, "converged": pair.converged,
+                 "final_objective": pair.final_objective, "u": pair.u.tolist(), "v": pair.v.tolist()}
+                for k, pair in enumerate(decomp.components, start=1)
             ],
             "row_grid": X.row_grid.tolist(),
             "col_grid": X.col_grid.tolist(),
@@ -183,20 +142,31 @@ def cmd_decompose(cfg: dict) -> int:
         with open(os.path.join(out, "decomposition.json"), "w") as fh:
             json.dump(payload, fh)
             fh.write("\n")
-        save_json(X.with_values(decomp.residual.residuals), os.path.join(out, "residual.json"))
+        save_json(decomp.residual, os.path.join(out, "residual.json"))
         save_json(recon, os.path.join(out, "reconstruction.json"))
     else:
-        save(X.with_values(decomp.residual.residuals),
-             MatrixFile(os.path.join(out, "residual.csv"), "dense_csv", cfg["missing_token"]))
+        info = ["s", "lambda_u", "lambda_v", "iterations", "converged"]
+        rows = []
+        for k, pair in enumerate(decomp.components, start=1):
+            row = [format_number(pair.s), format_number(pair.lambda_u), format_number(pair.lambda_v),
+                   pair.iterations, int(pair.converged)]
+            rows.append([k] + row)
+            write_csv(os.path.join(out, f"component_{k}_info.csv"), info, [row])
+            for side, grid_name, grid, vec in (("u", "row_grid", X.row_grid, pair.u),
+                                               ("v", "col_grid", X.col_grid, pair.v)):
+                write_csv(os.path.join(out, f"component_{k}_{side}.csv"), [grid_name, "value"],
+                          ([repr(g), format_number(x)] for g, x in zip(grid.tolist(), vec.tolist())))
+                trace = pair.history.get(f"gcv_trace_{side}")
+                if isinstance(trace, GcvTrace):
+                    trace.write_csv(os.path.join(out, f"component_{k}_gcv_{side}.csv"))
+                # dense spline evaluation of the vector, for plotting (a spline
+                # needs at least 3 knots)
+                if grid.size >= 3:
+                    interpolate(vec, grid).export_csv(os.path.join(out, f"component_{k}_{side}_dense.csv"),
+                                                      num=cfg["spline_points"])
+        save(decomp.residual, MatrixFile(os.path.join(out, "residual.csv"), "dense_csv", cfg["missing_token"]))
         save(recon, MatrixFile(os.path.join(out, "reconstruction.csv"), "dense_csv", cfg["missing_token"]))
-        with open(os.path.join(out, "components.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["component", "s", "lambda_u", "lambda_v", "iterations", "converged"])
-            for info in meta:
-                writer.writerow([info["component"], format_number(info["s"]),
-                                 format_number(info["lambda_u"]), format_number(info["lambda_v"]),
-                                 info["iterations"], int(info["converged"])])
-
+        write_csv(os.path.join(out, "components.csv"), ["component"] + info, rows)
     write_manifest(out, "decompose", cfg)
     return 0
 

@@ -10,7 +10,9 @@ convention):
   pivoted into a matrix; combinations that never appear are missing.
 
 Labels must parse as numbers (a trailing "+" as in the "110+" age group is
-stripped) and become the sampling grids of the matrix.
+stripped) and become the sampling grids of the matrix. ``write_csv`` is the
+package's one CSV writer: every CSV output (matrices, vectors, GCV curves,
+spline evaluations, simulation summaries) goes through it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "save",
     "save_dense_csv",
     "save_hmd_triplet",
+    "write_csv",
     "matrix_to_json",
     "save_json",
     "log_transform",
@@ -160,27 +163,31 @@ def _grid_label(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-def save_dense_csv(X: ObservedMatrix, path, missing_token: str = ".") -> None:
-    """Write the dense format; values use shortest round-trip decimals."""
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then ``rows``, as comma-separated text with CRLF line ends."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["row\\col"] + [_grid_label(c) for c in X.col_grid])
-        for i in range(X.shape[0]):
-            row = [_grid_label(X.row_grid[i])]
-            for j in range(X.shape[1]):
-                row.append(repr(float(X.values[i, j])) if X.mask[i, j] else missing_token)
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _cells(X: ObservedMatrix, missing_token: str):
+    """Per row of X: its grid label and its cells as text, shortest round-trip decimals."""
+    for g, values, mask in zip(X.row_grid, X.values.tolist(), X.mask.tolist()):
+        yield _grid_label(g), [repr(x) if ok else missing_token for x, ok in zip(values, mask)]
+
+
+def save_dense_csv(X: ObservedMatrix, path, missing_token: str = ".") -> None:
+    """Write the dense format; values use shortest round-trip decimals."""
+    write_csv(path, ["row\\col"] + [_grid_label(c) for c in X.col_grid],
+              ([label] + cells for label, cells in _cells(X, missing_token)))
 
 
 def save_hmd_triplet(X: ObservedMatrix, path, missing_token: str = ".") -> None:
     """Write the triplet format, one (row, col, value) line per cell."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for i in range(X.shape[0]):
-            for j in range(X.shape[1]):
-                value = repr(float(X.values[i, j])) if X.mask[i, j] else missing_token
-                writer.writerow([_grid_label(X.row_grid[i]), _grid_label(X.col_grid[j]), value])
+    cols = [_grid_label(c) for c in X.col_grid]
+    write_csv(path, ["row", "col", "value"],
+              ([label, col, cell] for label, cells in _cells(X, missing_token) for col, cell in zip(cols, cells)))
 
 
 def save(X: ObservedMatrix, file: MatrixFile) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import ObservedMatrix, ResidualMatrix
+from .matrices import ObservedMatrix
 from .penalties import TwoWayPenaltySpec, build_roughness_penalty, two_way_penalty
 from .robust import RobustLossSpec, estimate_scale_mad, huber_rho, squared_loss_spec
 from .selection import LambdaGrid
@@ -94,10 +94,14 @@ class ComponentPair:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Sequentially extracted components; pair k is fitted on the residual of 1..k-1."""
+    """Sequentially extracted components; pair k is fitted on the residual of 1..k-1.
+
+    ``residual`` is what the components leave of the input: an
+    ObservedMatrix with the input's mask and grids, 0 at missing cells.
+    """
 
     components: tuple
-    residual: ResidualMatrix
+    residual: ObservedMatrix
     method: str
 
     @property
@@ -111,7 +115,7 @@ class Decomposition:
         return np.column_stack([c.v for c in self.components])
 
     def reconstruction(self) -> np.ndarray:
-        out = np.zeros(self.residual.residuals.shape)
+        out = np.zeros(self.residual.shape)
         for c in self.components:
             out += c.reconstruction()
         return out
@@ -297,13 +301,45 @@ def _irls_rank_one(X: ObservedMatrix, omegas, loss: RobustLossSpec, grid: Lambda
     )
 
 
-def fit_rank_one_robrsvd(
-    X,
-    loss: RobustLossSpec = None,
-    penalty_grid: LambdaGrid = None,
-    opts: FitOptions = None,
-    omegas=None,
-) -> ComponentPair:
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+
+
+def rank_one_fit(X, method: str, loss=None, penalty_grid=None, opts=None, omegas=None) -> ComponentPair:
+    """Rank-one fit by method name, one of ``METHODS``: where each name gets its loss, penalty and grid.
+
+    - svd on complete input: the leading LAPACK triple.
+    - svd on masked input: the squared loss with zero penalties on the grid (0,).
+    - rsvd: the squared loss with the spline penalty pair.
+    - robrsvd: ``loss`` (default ``RobustLossSpec()``) with the spline penalty pair.
+
+    ``loss`` is read by robrsvd only, ``penalty_grid`` (default
+    ``LambdaGrid.log_default()``) by rsvd and robrsvd. ``omegas`` is the
+    spline pair when it is already built, as ``fit`` does once for all
+    components.
+    """
+    _check_method(method)
+    X = _as_observed(X)
+    opts = FitOptions() if opts is None else opts
+    if method == "svd":
+        if X.is_complete:
+            s, u, v = _leading_triple(X.values)
+            return ComponentPair(s=s, u=u, v=v, iterations=0, converged=True,
+                                 final_objective=float(np.sum((X.values - s * np.outer(u, v)) ** 2)))
+        m, n = X.shape
+        return _irls_rank_one(X, (np.zeros((m, m)), np.zeros((n, n))), squared_loss_spec(),
+                              LambdaGrid((0.0,)), opts)
+    if method == "rsvd":
+        loss = squared_loss_spec()
+    elif loss is None:
+        loss = RobustLossSpec()
+    grid = LambdaGrid.log_default() if penalty_grid is None else penalty_grid
+    return _irls_rank_one(X, spline_penalties(X) if omegas is None else omegas, loss, grid, opts)
+
+
+def fit_rank_one_robrsvd(X, loss: RobustLossSpec = None, penalty_grid: LambdaGrid = None,
+                         opts: FitOptions = None) -> ComponentPair:
     """Robust regularized rank-one fit of a matrix, complete or with missing cells.
 
     Huber weights bound the influence of outlying cells; the roughness
@@ -311,25 +347,16 @@ def fit_rank_one_robrsvd(
     Missing cells have weight zero, so only observed cells are fitted.
     Non-convergence is reported through ``converged=False``, never silently.
     """
-    X = _as_observed(X)
-    loss = RobustLossSpec() if loss is None else loss
-    grid = LambdaGrid.log_default() if penalty_grid is None else penalty_grid
-    opts = FitOptions() if opts is None else opts
-    return _irls_rank_one(X, spline_penalties(X) if omegas is None else omegas, loss, grid, opts)
+    return rank_one_fit(X, "robrsvd", loss, penalty_grid, opts)
 
 
-def fit_rank_one_rsvd(
-    X,
-    penalty_grid: LambdaGrid = None,
-    opts: FitOptions = None,
-    omegas=None,
-) -> ComponentPair:
+def fit_rank_one_rsvd(X, penalty_grid: LambdaGrid = None, opts: FitOptions = None) -> ComponentPair:
     """Regularized (nonrobust) rank-one fit: the squared-loss special case.
 
     Identical loop with the weights pinned at 2, i.e. a Huber loss with an
     infinite threshold.
     """
-    return fit_rank_one_robrsvd(X, squared_loss_spec(), penalty_grid, opts, omegas)
+    return rank_one_fit(X, "rsvd", penalty_grid=penalty_grid, opts=opts)
 
 
 def fit_rank_one_svd(X, opts: FitOptions = None) -> ComponentPair:
@@ -342,29 +369,7 @@ def fit_rank_one_svd(X, opts: FitOptions = None) -> ComponentPair:
     with no penalty, i.e. alternating least squares on the observed cells
     (criss-cross regression, Gabriel & Zamir 1979), stopped by ``opts``.
     """
-    X = _as_observed(X)
-    if not X.is_complete:
-        m, n = X.shape
-        return _irls_rank_one(X, (np.zeros((m, m)), np.zeros((n, n))), squared_loss_spec(),
-                              LambdaGrid((0.0,)), FitOptions() if opts is None else opts)
-    s, u, v = _leading_triple(X.values)
-    return ComponentPair(s=s, u=u, v=v, iterations=0, converged=True,
-                         final_objective=float(np.sum((X.values - s * np.outer(u, v)) ** 2)))
-
-
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
-
-
-def rank_one_fit(X, method: str, loss=None, penalty_grid=None, opts=None, omegas=None) -> ComponentPair:
-    """Dispatch a rank-one fit by method name, one of ``METHODS``."""
-    _check_method(method)
-    if method == "svd":
-        return fit_rank_one_svd(X, opts)
-    if method == "rsvd":
-        return fit_rank_one_rsvd(X, penalty_grid, opts, omegas)
-    return fit_rank_one_robrsvd(X, loss, penalty_grid, opts, omegas)
+    return rank_one_fit(X, "svd", opts=opts)
 
 
 def fit(
@@ -389,14 +394,13 @@ def fit(
     omegas = None if method == "svd" else spline_penalties(X)
 
     components = []
-    resid = X.values.copy()
+    resid = X
     for k in range(rank):
-        Xk = ObservedMatrix(resid, X.mask, X.row_grid, X.col_grid)
         try:
-            pair = rank_one_fit(Xk, method, loss, penalty_grid, opts, omegas)
+            pair = rank_one_fit(resid, method, loss, penalty_grid, opts, omegas)
         except Exception as exc:
             raise RuntimeError(f"component {k + 1} failed: {exc}") from exc
         components.append(pair)
-        resid = np.where(X.mask, resid - pair.reconstruction(), 0.0)
+        resid = resid.with_values(resid.values - pair.reconstruction())
 
-    return Decomposition(tuple(components), ResidualMatrix(resid, X.mask), method)
+    return Decomposition(tuple(components), resid, method)

@@ -4,7 +4,9 @@ A two-way functional matrix holds noisy evaluations of a smooth surface on a
 rectangular grid: rows sample one continuous domain, columns the other.
 Missing cells are tracked with a boolean mask; the mask is the single source
 of truth and masked cells carry a placeholder value of 0 that no loss or
-weight computation ever reads.
+weight computation ever reads. One type, ``ObservedMatrix``, holds every
+masked matrix: the input, each deflated matrix a component is fitted to, and
+a decomposition's residual, which keeps the input's mask and grids.
 """
 
 from __future__ import annotations
@@ -13,21 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ObservedMatrix", "ResidualMatrix"]
+__all__ = ["ObservedMatrix"]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
     return a
-
-
-def _check_mask(mask, shape: tuple, name: str) -> np.ndarray:
-    """The boolean mask, all observed when None."""
-    mask = np.ones(shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if mask.shape != shape:
-        raise ValueError(f"mask shape must match {name} shape")
-    return mask
 
 
 def _check_grid(grid: np.ndarray, length: int, name: str) -> None:
@@ -68,7 +62,9 @@ class ObservedMatrix:
         if m < 2 or n < 2:
             raise ValueError("matrix must be at least 2x2")
 
-        mask = _check_mask(self.mask, (m, n), "values")
+        mask = np.ones((m, n), dtype=bool) if self.mask is None else np.asarray(self.mask, dtype=bool)
+        if mask.shape != (m, n):
+            raise ValueError("mask shape must match values shape")
         if not np.all(np.isfinite(values[mask])):
             raise ValueError("observed values must be finite")
         # enforce the placeholder convention at masked cells
@@ -96,24 +92,3 @@ class ObservedMatrix:
         """Same mask and grids, new values."""
         return ObservedMatrix(values, self.mask, self.row_grid, self.col_grid)
 
-
-@dataclass(frozen=True)
-class ResidualMatrix:
-    """Residuals of a fit on the observed cells; masked cells are 0/excluded."""
-
-    residuals: np.ndarray
-    mask: np.ndarray = None
-
-    def __post_init__(self):
-        r = np.asarray(self.residuals, dtype=float)
-        if r.ndim != 2:
-            raise ValueError("residuals must be a 2-d array")
-        mask = _check_mask(self.mask, r.shape, "residuals")
-        if not np.all(np.isfinite(r[mask])):
-            raise ValueError("observed residuals must be finite")
-        r = np.where(mask, r, 0.0)
-        object.__setattr__(self, "residuals", _readonly(r))
-        object.__setattr__(self, "mask", _readonly(mask))
-
-    def observed(self) -> np.ndarray:
-        return self.residuals[self.mask]

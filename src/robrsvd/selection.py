@@ -12,10 +12,11 @@ scores the whole grid as one array and picks its minimum.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dataio import write_csv
 
 __all__ = ["LambdaGrid", "GcvRecord", "GcvTrace"]
 
@@ -72,8 +73,5 @@ class GcvTrace:
         return next(r for r in self.records if r.chosen)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "gcv", "hat_trace", "chosen"])
-            for r in self.records:
-                writer.writerow([repr(r.lam), repr(r.score), repr(r.hat_trace), int(r.chosen)])
+        write_csv(path, ["lambda", "gcv", "hat_trace", "chosen"],
+                  ([repr(r.lam), repr(r.score), repr(r.hat_trace), int(r.chosen)] for r in self.records))

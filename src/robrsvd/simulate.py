@@ -11,7 +11,6 @@ ambiguity of singular vectors.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import multiprocessing
@@ -23,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import format_number
+from .dataio import format_number, write_csv
 from .decompose import METHODS, FitOptions, fit
 from .matrices import ObservedMatrix
 from .robust import RobustLossSpec
@@ -402,15 +401,10 @@ def run_benchmark(
 
 
 def write_summary_csv(result: BenchmarkResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "method", "sigma2", "metric", "median", "q1", "q3", "replications"])
-        for row in result.summary:
-            writer.writerow([
-                row["scenario"], row["method"], format_number(row["sigma2"]), row["metric"],
-                format_number(row["median"]), format_number(row["q1"]), format_number(row["q3"]),
-                row["replications"],
-            ])
+    write_csv(path, ["scenario", "method", "sigma2", "metric", "median", "q1", "q3", "replications"], (
+        [row["scenario"], row["method"], format_number(row["sigma2"]), row["metric"],
+         format_number(row["median"]), format_number(row["q1"]), format_number(row["q3"]), row["replications"]]
+        for row in result.summary))
 
 
 def write_summary_json(result: BenchmarkResult, path) -> None:

@@ -9,12 +9,12 @@ quadratic form of the penalty matrix built from the same grid.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
+from .dataio import write_csv
 from .penalties import spline_qr
 
 __all__ = ["SplineFunction", "interpolate"]
@@ -86,13 +86,9 @@ class SplineFunction:
     def export_csv(self, path, num: int = 200) -> None:
         """Dense evaluation on the domain, written as (t, value, extrapolated)."""
         t = np.linspace(self.knots[0], self.knots[-1], num)
-        vals = self(t)
-        flags = ~self.in_domain(t)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "value", "extrapolated"])
-            for ti, vi, fi in zip(t, vals, flags):
-                writer.writerow([repr(float(ti)), repr(float(vi)), int(fi)])
+        write_csv(path, ["t", "value", "extrapolated"],
+                  ([repr(ti), repr(vi), int(fi)]
+                   for ti, vi, fi in zip(t.tolist(), self(t).tolist(), (~self.in_domain(t)).tolist())))
 
 
 def interpolate(values, grid) -> SplineFunction:

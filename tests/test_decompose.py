@@ -222,7 +222,7 @@ def test_fit_full_rank_leaves_no_residual():
     rng = np.random.default_rng(78)
     X = rng.standard_normal((6, 5))
     decomp = fit(X, method="svd", rank=5)
-    assert np.linalg.norm(decomp.residual.residuals) < 1e-8 * np.linalg.norm(X)
+    assert np.linalg.norm(decomp.residual.values) < 1e-8 * np.linalg.norm(X)
 
 
 def test_deflation_matches_joint_svd_with_gaps():

@@ -79,7 +79,7 @@ def test_observed_cells_never_altered():
     before = X.values.copy()
     decomp = fit(X, "robrsvd", penalty_grid=LambdaGrid((1e-6,)))
     np.testing.assert_array_equal(X.values, before)
-    np.testing.assert_allclose((decomp.reconstruction() + decomp.residual.residuals)[mask],
+    np.testing.assert_allclose((decomp.reconstruction() + decomp.residual.values)[mask],
                                X.values[mask], rtol=0, atol=1e-12 * np.abs(X.values).max())
 
 
@@ -195,5 +195,5 @@ def test_observed_cells_are_reconstruction_plus_residual(X, method, rank):
     decomp = fit(X, method, rank, penalty_grid=LambdaGrid.log_default(num=5))
     np.testing.assert_array_equal(decomp.residual.mask, X.mask)
     obs = X.mask
-    gap = np.abs(decomp.reconstruction()[obs] + decomp.residual.residuals[obs] - X.values[obs]).max()
+    gap = np.abs(decomp.reconstruction()[obs] + decomp.residual.values[obs] - X.values[obs]).max()
     assert gap <= 1e-12 * np.abs(X.values[obs]).max()

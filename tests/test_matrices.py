@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robrsvd.decompose import fit
-from robrsvd.matrices import ObservedMatrix, ResidualMatrix
+from robrsvd.matrices import ObservedMatrix
 
 
 def test_residual_exact_fit_is_zero():
@@ -11,7 +11,7 @@ def test_residual_exact_fit_is_zero():
     v = rng.standard_normal(4)
     X = ObservedMatrix(np.outer(u, v))
     r = fit(X, "svd").residual
-    np.testing.assert_allclose(r.residuals, 0.0, atol=1e-14)
+    np.testing.assert_allclose(r.values, 0.0, atol=1e-14)
 
 
 def test_residual_masked_cell_excluded_matches_elementwise_loop():
@@ -28,9 +28,9 @@ def test_residual_masked_cell_excluded_matches_elementwise_loop():
     for i in range(3):
         for j in range(2):
             if mask[i, j]:
-                assert r.residuals[i, j] == pytest.approx(values[i, j] - s * u[i] * v[j], rel=1e-15)
+                assert r.values[i, j] == pytest.approx(values[i, j] - s * u[i] * v[j], rel=1e-15)
             else:
-                assert r.residuals[i, j] == 0.0
+                assert r.values[i, j] == 0.0
     assert not r.mask[1, 0]
 
 
@@ -40,7 +40,7 @@ def test_residual_reconstructs_observed_cells():
     mask = rng.random((6, 5)) > 0.2
     X = ObservedMatrix(values, mask)
     decomp = fit(X, "svd", rank=2)
-    recon = decomp.residual.residuals + decomp.reconstruction()
+    recon = decomp.residual.values + decomp.reconstruction()
     np.testing.assert_allclose(recon[mask], X.values[mask], rtol=0, atol=1e-12)
 
 
@@ -75,6 +75,12 @@ def test_arrays_are_immutable():
 
 
 def test_residual_matrix_masked_cells_zeroed():
-    r = ResidualMatrix(np.ones((2, 2)), np.array([[True, False], [True, True]]))
-    assert r.residuals[0, 1] == 0.0
-    assert list(r.observed()) == [1.0, 1.0, 1.0]
+    # a decomposition's residual is an ObservedMatrix on the input's mask and grids
+    mask = np.array([[True, False, True], [True, True, True], [True, True, False]])
+    X = ObservedMatrix(np.arange(1.0, 10.0).reshape(3, 3), mask, [1908.0, 1909.0, 1911.0], [0.0, 5.0, 10.0])
+    r = fit(X, "svd").residual
+    assert isinstance(r, ObservedMatrix)
+    assert r.values[0, 1] == 0.0 and r.values[2, 2] == 0.0
+    np.testing.assert_array_equal(r.mask, mask)
+    np.testing.assert_array_equal(r.row_grid, X.row_grid)
+    np.testing.assert_array_equal(r.col_grid, X.col_grid)

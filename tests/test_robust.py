@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robrsvd.matrices import ResidualMatrix
+from robrsvd.matrices import ObservedMatrix
 from robrsvd.robust import (
     RobustLossSpec,
     estimate_scale_mad,
@@ -116,7 +116,7 @@ def test_mad_sign_flip_invariance_and_scale_equivariance():
 
 
 def test_mad_respects_residual_matrix_mask():
-    resid = ResidualMatrix(np.array([[5.0, 0.0], [1.0, 1.0]]),
+    resid = ObservedMatrix(np.array([[5.0, 0.0], [1.0, 1.0]]),
                            np.array([[False, True], [True, True]]))
     # the 5.0 is masked; remaining nonzeros are {1, 1}
     assert estimate_scale_mad(resid) == pytest.approx(1 / 0.675, rel=1e-12)

@@ -13,7 +13,9 @@ thread variables default to 1. Two runs, or two checkouts, are compared with
 lambda frozen after one iteration), gcv-trace on both sides and on a
 one-point lambda grid of both inputs, plus gcv-trace at a fixed sigma,
 simulate with and without missing cells at 1 and 2 workers, and transform
-of a triplet file with its own missing token.
+of a triplet file with its own missing token. The same triplet file, with
+integer grid labels, is also decomposed at rank 2 after the log transform,
+with 50 spline points, which writes its missing cells as that token.
 """
 
 from __future__ import annotations
@@ -71,6 +73,8 @@ def commands(inputs: dict) -> list:
                          "--out", f"out/simulate_mask{mask_count}_threads{threads}"])
     runs.append(["transform", "inputs/rates.txt", "--format", "hmd_triplet", "--missing-token", "NA",
                  "--out", "out/rates_log.txt"])
+    runs.append(["decompose", "inputs/rates.txt", "--format", "hmd_triplet", "--missing-token", "NA",
+                 "--log2-half", "--rank", "2", "--spline-points", "50", "--out", "out/decompose_rates"])
     return runs
 
 
