@@ -109,6 +109,8 @@ def _loss(cfg: dict) -> RobustLossSpec:
 def cmd_decompose(cfg: dict) -> int:
     if not cfg["input"]:
         raise ValueError("decompose needs an input file")
+    if cfg["spline_points"] < 2:
+        raise ValueError(f"--spline-points must be at least 2, got {cfg['spline_points']}")
     X = load(_matrix_file(cfg))
     if cfg["log2_half"]:
         X = log_transform(X)

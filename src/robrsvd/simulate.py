@@ -335,6 +335,10 @@ def run_benchmark(
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     scenarios, methods = list(scenarios), list(methods)
+    for scenario in scenarios:
+        m, n = scenario.grid_size
+        if not 0 <= mask_count < m * n:
+            raise ValueError(f"mask_count must be in [0, {m * n}) for a {m}x{n} scenario, got {mask_count}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown method(s) {unknown}; expected one of {', '.join(METHODS)}")

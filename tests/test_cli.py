@@ -139,8 +139,13 @@ def test_simulate_rejects_threads_below_one(tmp_path, capsys):
     (["decompose", "{diag}", "--rank", "99"], "rank must be between 1 and 2, got 99"),
     (["decompose", "{diag}", "--sigma", "inf"], "fixed sigma must be a positive finite number, got inf"),
     (["decompose", "{missing}"], "absent.csv"),
+    (["decompose", "{diag}", "--spline-points", "-1"], "--spline-points must be at least 2, got -1"),
+    (["decompose", "{diag}", "--spline-points", "0"], "--spline-points must be at least 2, got 0"),
     (["simulate", "--rows", "12", "--cols", "12", "--replications", "1", "--methods", "foo"], "unknown method"),
-], ids=["decompose-rank", "decompose-sigma", "decompose-missing", "simulate-methods"])
+    (["simulate", "--rows", "12", "--cols", "12", "--replications", "2", "--mask-count", "-5"],
+     "mask_count must be in [0, 144) for a 12x12 scenario, got -5"),
+], ids=["decompose-rank", "decompose-sigma", "decompose-missing", "decompose-spline-points-negative",
+        "decompose-spline-points-zero", "simulate-methods", "simulate-mask-count"])
 def test_a_rejected_command_creates_no_out_folder(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     paths = {"diag": write_diag_csv(tmp_path), "missing": str(tmp_path / "absent.csv")}

@@ -167,6 +167,23 @@ def test_svd_fitter_transpose_swaps_vectors(m, n, seed):
         np.testing.assert_allclose(flipped.v, sign * pair.u, atol=1e-8)
 
 
+@pytest.mark.parametrize("contamination", ["outlying_rows", "outlying_cells", "none"])
+def test_rsvd_transpose_swaps_vectors_and_lambdas(contamination):
+    # the loop updates v first, so the transposed fit takes its steps in the
+    # other order and agrees only to the convergence tolerance; a tighter tol
+    # than 1e-8 runs some of these fits to max_iter
+    opts = FitOptions(tol=1e-8)
+    for seed in range(6):
+        X = generate(SimScenario(grid_size=(30, 25), contamination=contamination, seed=seed)).data
+        XT = ObservedMatrix(X.values.T, X.mask.T, X.col_grid, X.row_grid)
+        pair, flipped = fit(X, "rsvd", opts=opts).components[0], fit(XT, "rsvd", opts=opts).components[0]
+        assert (flipped.lambda_u, flipped.lambda_v) == (pair.lambda_v, pair.lambda_u)
+        assert flipped.s == pytest.approx(pair.s, rel=1e-6)
+        sign = np.sign(flipped.u @ pair.v)
+        np.testing.assert_allclose(flipped.u, sign * pair.v, rtol=0, atol=2e-5)
+        np.testing.assert_allclose(flipped.v, sign * pair.u, rtol=0, atol=2e-5)
+
+
 @given(m=st.integers(2, 12), n=st.integers(2, 12))
 def test_svd_fitter_on_zero_matrix(m, n):
     pair = fit_rank_one_svd(np.zeros((m, n)))

@@ -239,6 +239,21 @@ def test_benchmark_rejects_unknown_methods_before_any_replication(monkeypatch):
     assert ran == []
 
 
+@pytest.mark.parametrize("mask_count, cells", [(-1, 400), (144, 144), (300, 144)])
+def test_benchmark_rejects_a_mask_count_out_of_range_before_any_replication(monkeypatch, mask_count, cells):
+    import robrsvd.simulate as simulate
+
+    ran = []
+    monkeypatch.setattr(simulate, "_one_replication", lambda *args: ran.append(args))
+    # the count must fit every scenario, not only the first
+    scenarios = [SimScenario(grid_size=(20, 20)), SimScenario(grid_size=(12, 12))]
+    side = int(cells**0.5)
+    with pytest.raises(ValueError, match=rf"mask_count must be in \[0, {cells}\) for a {side}x{side} scenario, "
+                                         rf"got {mask_count}"):
+        run_benchmark(scenarios, methods=("svd",), replications=2, mask_count=mask_count)
+    assert ran == []
+
+
 def test_summary_csv_schema(tmp_path):
     scen = SimScenario(grid_size=(12, 12), noise_variance=0.2, contamination="none")
     res = run_benchmark([scen], methods=("svd",), replications=2, base_seed=5)
