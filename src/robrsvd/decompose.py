@@ -158,10 +158,10 @@ def fit_start(X, loss: RobustLossSpec) -> tuple[float, np.ndarray, np.ndarray, f
     ``X`` is an ObservedMatrix or an array. A missing cell starts at the
     mean of the observed cells in its row, so every row and column needs an
     observed cell (ValueError names the empty ones). sigma is ``loss.sigma``
-    when given, else the MAD of the triple's residuals. A robust loss (finite
-    theta) raises ValueError when that MAD is at the rounding level of the
-    data (at most 1e-10 max|x|), as on noise-free input: weights scaled by
-    rounding error would discount every cell.
+    when given, else the MAD of the triple's residuals at the observed cells
+    only. A robust loss (finite theta) raises ValueError when that MAD is at
+    the rounding level of the data (at most 1e-10 max|x|), as on noise-free
+    input: weights scaled by rounding error would discount every cell.
     """
     X = _as_observed(X)
     values = X.values
@@ -178,7 +178,7 @@ def fit_start(X, loss: RobustLossSpec) -> tuple[float, np.ndarray, np.ndarray, f
     if loss.sigma is not None:
         return s, u, v, float(loss.sigma)
     try:
-        sigma = estimate_scale_mad(values - s * np.outer(u, v))
+        sigma = estimate_scale_mad(X.with_values(values - s * np.outer(u, v)))
     except ValueError:
         if np.isinf(loss.theta):
             return s, u, v, 1.0  # squared loss: the scale cancels from every update

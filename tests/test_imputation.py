@@ -9,12 +9,13 @@ from robrsvd.decompose import (
     fit,
     fit_rank_one_rsvd,
     fit_rank_one_svd,
+    fit_start,
     huber_objective,
     rank_one_fit,
 )
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
-from robrsvd.robust import RobustLossSpec
+from robrsvd.robust import RobustLossSpec, estimate_scale_mad
 from robrsvd.selection import LambdaGrid
 from robrsvd.simulate import SimScenario, generate, mask_random
 from conftest import imputation_oracle
@@ -131,6 +132,14 @@ def test_empty_row_or_column_rejected():
     mask[:, 3] = False
     with pytest.raises(ValueError, match="column"):
         fit_rank_one_svd(ObservedMatrix(values, mask))
+
+
+def test_start_scale_is_the_mad_of_the_observed_residuals():
+    # the row-mean fill is not data: its residuals stay out of sigma
+    X = mask_random(generate(SimScenario(rank=2, grid_size=(30, 25), contamination="outlying_rows", seed=2)),
+                    60, seed=3).data
+    s, u, v, sigma = fit_start(X, RobustLossSpec())
+    assert sigma == estimate_scale_mad((X.values - s * np.outer(u, v))[X.mask])
 
 
 def test_fit_routes_masked_matrices_through_imputation():
