@@ -3,7 +3,9 @@
 Every run resolves its configuration from three layers (command-line flag,
 then config-file entry, then built-in default), echoes the resolved values
 into a machine-readable manifest next to the outputs, and formats CSV
-numbers with 17 significant digits so reruns are byte-identical.
+numbers with 17 significant digits so reruns are byte-identical. Every CSV
+goes through ``dataio.write_csv``; a decomposition's residual is saved as
+the fit returns it, on the input's mask and grids.
 """
 
 from __future__ import annotations
