@@ -37,7 +37,6 @@ from .decompose import (
     huber_objective,
 )
 from .simulate import (
-    Rank2Config,
     SimResult,
     SimScenario,
     SimTruth,
@@ -74,7 +73,7 @@ __all__ = [
     "GcvRecord", "GcvTrace", "LambdaGrid",
     "ComponentPair", "Decomposition", "FitOptions", "fit",
     "fit_rank_one_robrsvd", "fit_rank_one_rsvd", "fit_rank_one_svd", "huber_objective",
-    "Rank2Config", "SimResult", "SimScenario", "SimTruth",
+    "SimResult", "SimScenario", "SimTruth",
     "generate", "mask_random", "metric_frobenius", "metric_l2",
     "metric_principal_angle", "metric_singular_value", "run_benchmark",
     "MatrixFile", "ParseError", "energy_percentages", "load", "log_transform",

@@ -22,7 +22,7 @@ from . import __version__
 from .dataio import MatrixFile, format_number, load, log_transform, save, save_json, write_csv
 from .decompose import METHODS, FitOptions, fit, fit_start, spline_penalties
 from .robust import DEFAULT_THETA, RobustLossSpec
-from .selection import GcvTrace, LambdaGrid
+from .selection import LambdaGrid
 from .penalties import TwoWayPenaltySpec
 from .simulate import (
     SimScenario,
@@ -39,21 +39,8 @@ from .updates import ConditionalKernel
 # configuration: flag > config file > default
 
 
-def _parse_config_value(text: str):
-    text = text.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
-
-
 def read_config_file(path) -> dict:
-    """Flat ``key = value`` file; '#' starts a comment; dashes become underscores."""
+    """Flat ``key = value`` file of text values; '#' starts a comment; dashes become underscores."""
     config = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -63,7 +50,7 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected 'key = value'")
             key, value = line.split("=", 1)
-            config[key.strip().replace("-", "_")] = _parse_config_value(value)
+            config[key.strip().replace("-", "_")] = value.strip()
     return config
 
 
@@ -131,7 +118,7 @@ def cmd_decompose(cfg: dict) -> int:
     # created only now, so that a rejected command leaves no empty folder
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    recon = X.with_values(np.where(X.mask, decomp.reconstruction(), 0.0))
+    recon = X.with_values(decomp.reconstruction())
     if cfg["output_format"] == "json":
         payload = {
             "components": [
@@ -161,7 +148,7 @@ def cmd_decompose(cfg: dict) -> int:
                 write_csv(os.path.join(out, f"component_{k}_{side}.csv"), [grid_name, "value"],
                           ([repr(g), format_number(x)] for g, x in zip(grid.tolist(), vec.tolist())))
                 trace = pair.history.get(f"gcv_trace_{side}")
-                if isinstance(trace, GcvTrace):
+                if trace is not None:
                     trace.write_csv(os.path.join(out, f"component_{k}_gcv_{side}.csv"))
                 # dense spline evaluation of the vector, for plotting (a spline
                 # needs at least 3 knots)
@@ -179,10 +166,8 @@ def cmd_decompose(cfg: dict) -> int:
 # simulate
 
 
-def _split_list(text, cast=str) -> list:
-    if isinstance(text, (int, float)):
-        return [cast(text)]
-    return [cast(part.strip()) for part in str(text).split(",") if part.strip()]
+def _split_list(text: str, cast=str) -> list:
+    return [cast(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def cmd_simulate(cfg: dict) -> int:
@@ -340,19 +325,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            # file entries become the subcommand's defaults, so flags still win
+            # file entries become the subcommand's defaults, so flags still win;
+            # argparse converts a text default through the option's type
             config = read_config_file(args.config)
             unknown = set(config) - set(_options(args))
             if unknown:
                 raise ValueError(f"unknown config key(s): {sorted(unknown)}")
             command = commands[args.subcommand]
-            # argparse checks choices on the command line only, not on defaults
             for action in command._actions:
-                if action.dest in config:
-                    try:
-                        command._check_value(action, config[action.dest])
-                    except argparse.ArgumentError as exc:
-                        command.error(str(exc))
+                text = config.get(action.dest)
+                if text is None:
+                    continue
+                if action.nargs == 0:  # a switch: its entry is true or false
+                    if text.lower() not in ("true", "false"):
+                        command.error(f"argument {action.option_strings[0]}: expected true or false, got {text!r}")
+                    config[action.dest] = text.lower() == "true"
+                    continue
+                try:  # argparse checks choices on the command line only, not on defaults
+                    command._check_value(action, text)
+                except argparse.ArgumentError as exc:
+                    command.error(str(exc))
             command.set_defaults(**config)
             args = parser.parse_args(argv)
         return args.func(_options(args))

@@ -1,6 +1,6 @@
 """Contaminated two-way functional test-bed data and evaluation metrics.
 
-The generator builds a smooth rank-one (optionally rank-two) signal surface
+The generator builds a smooth rank-one (or fixed rank-two) signal surface
 on equally spaced grids, injects outliers in one of four patterns (random
 cells, whole rows with a different shape, a shifted square block, or the
 diagonal), then adds Gaussian noise. A fixed seed pins every draw, so a
@@ -15,7 +15,6 @@ import functools
 import json
 import multiprocessing
 import os
-import pickle
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -23,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import format_number, write_csv
-from .decompose import METHODS, FitOptions, fit
+from .decompose import METHODS, fit
 from .matrices import ObservedMatrix
 from .robust import RobustLossSpec
 from .selection import LambdaGrid
@@ -32,7 +31,6 @@ __all__ = [
     "SimScenario",
     "SimTruth",
     "SimResult",
-    "Rank2Config",
     "generate",
     "mask_random",
     "metric_l2",
@@ -53,19 +51,8 @@ OUTLYING_CELL_COUNT = 100
 OUTLYING_ROW_COUNT = 5
 BLOCK_SIZE = 10
 
-
-@dataclass(frozen=True)
-class Rank2Config:
-    """Second signal pair: orthogonalized smooth shapes and a singular-value ratio.
-
-    Defaults are a decaying exponential on the left, a full-period cosine on
-    the right, Gram-Schmidt orthogonalized against the first pair, at 0.35
-    of the leading singular value.
-    """
-
-    singular_ratio: float = 0.35
-    left_shape: object = None   # callable y -> value; default exp(-2y)
-    right_shape: object = None  # callable z -> value; default cos(2*pi*z)
+# the second pair's singular value, as a share of the leading one
+RANK2_SINGULAR_RATIO = 0.35
 
 
 @dataclass(frozen=True)
@@ -77,7 +64,6 @@ class SimScenario:
     noise_variance: float = 1.0
     contamination: str = "none"
     seed: int = 0
-    rank2_config: Rank2Config = None
 
     def __post_init__(self):
         if self.rank not in (1, 2):
@@ -86,8 +72,6 @@ class SimScenario:
             raise ValueError("noise_variance must be nonnegative")
         if self.contamination not in CONTAMINATIONS:
             raise ValueError(f"contamination must be one of {CONTAMINATIONS}")
-        if self.rank == 2 and self.rank2_config is None:
-            object.__setattr__(self, "rank2_config", Rank2Config())
 
     @property
     def name(self) -> str:
@@ -124,9 +108,11 @@ def generate(scenario: SimScenario) -> SimResult:
 
     The signal is SIGNAL_SCALE * u0 v0' with u0 the discretized, unit-
     normalized 10**y shape and v0 the sin(2*pi*z) shape, so the leading
-    singular value of the clean surface is exactly SIGNAL_SCALE. Outliers
-    overwrite or shift signal cells relative to C1, the signal maximum;
-    noise is added last, everywhere.
+    singular value of the clean surface is exactly SIGNAL_SCALE. At rank 2
+    the design is fixed: exp(-2y) and cos(2*pi*z), Gram-Schmidt
+    orthogonalized against u0 and v0, at RANK2_SINGULAR_RATIO times
+    SIGNAL_SCALE. Outliers overwrite or shift signal cells relative to C1,
+    the signal maximum; noise is added last, everywhere.
     """
     m, n = scenario.grid_size
     if m < 2 or n < 2:
@@ -142,14 +128,11 @@ def generate(scenario: SimScenario) -> SimResult:
     right = [v0]
 
     if scenario.rank == 2:
-        cfg = scenario.rank2_config
-        left_shape = cfg.left_shape or (lambda t: np.exp(-2.0 * t))
-        right_shape = cfg.right_shape or (lambda t: np.cos(2.0 * np.pi * t))
-        u1 = np.asarray(left_shape(y), dtype=float)
-        v1 = np.asarray(right_shape(z), dtype=float)
+        u1 = np.exp(-2.0 * y)
+        v1 = np.cos(2.0 * np.pi * z)
         u1 = _unit(u1 - (u1 @ u0) * u0)
         v1 = _unit(v1 - (v1 @ v0) * v0)
-        singular_values.append(cfg.singular_ratio * SIGNAL_SCALE)
+        singular_values.append(RANK2_SINGULAR_RATIO * SIGNAL_SCALE)
         left.append(u1)
         right.append(v1)
 
@@ -276,7 +259,7 @@ def _replication_seed(base_seed: int, scenario_index: int, replication: int) -> 
     return int(ss.generate_state(1)[0])
 
 
-def _one_replication(job, base_seed, mask_count, loss, penalty_grid, opts):
+def _one_replication(job, base_seed, mask_count, loss, penalty_grid):
     """(metrics, None) or (None, error text) of one (scenario index, scenario, method, rep) job."""
     scenario_index, scenario, method, replication = job
     try:
@@ -285,7 +268,7 @@ def _one_replication(job, base_seed, mask_count, loss, penalty_grid, opts):
         if mask_count:
             result = mask_random(result, mask_count, seed=_replication_seed(base_seed + 1, scenario_index, replication))
         decomp = fit(result.data, method=method, rank=scenario.rank,
-                     loss=loss, penalty_grid=penalty_grid, opts=opts)
+                     loss=loss, penalty_grid=penalty_grid)
 
         truth = result.truth
         metrics = {}
@@ -318,17 +301,17 @@ def run_benchmark(
     mask_count: int = 0,
     loss: RobustLossSpec = None,
     penalty_grid: LambdaGrid = None,
-    opts: FitOptions = None,
 ) -> BenchmarkResult:
     """Monte Carlo comparison of methods across scenarios.
 
     Every (scenario, replication) pair gets its own seed derived from
     ``base_seed``, so results are reproducible and the same at every worker
     count. With ``threads > 1`` on Linux the jobs run on forked worker
-    processes, at most one per usable core, and the arguments must pickle (a
-    ValueError names the first that does not); elsewhere they run in this
+    processes, at most one per usable core; elsewhere they run in this
     process. All methods see the identical data draw within a replication. A
-    failed replication is recorded and skipped, never fatal.
+    failed replication is recorded and skipped, never fatal. A repeated
+    method, or two scenarios with the same name and noise variance, raise
+    ValueError, since their summary rows would merge.
     """
     if replications < 1:
         raise ValueError("replications must be at least 1")
@@ -339,6 +322,12 @@ def run_benchmark(
         m, n = scenario.grid_size
         if not 0 <= mask_count < m * n:
             raise ValueError(f"mask_count must be in [0, {m * n}) for a {m}x{n} scenario, got {mask_count}")
+    # the summary groups by scenario name, noise variance and method, so a repeat would merge rows
+    for what, keys in (("method", methods),
+                       ("scenario name and noise variance", [(s.name, s.noise_variance) for s in scenarios])):
+        repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
+        if repeated:
+            raise ValueError(f"repeated {what} {repeated[0]!r}: its summary rows would merge")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown method(s) {unknown}; expected one of {', '.join(METHODS)}")
@@ -350,14 +339,7 @@ def run_benchmark(
         for rep in range(replications)
     ]
     work = functools.partial(_one_replication, base_seed=base_seed, mask_count=mask_count,
-                             loss=loss, penalty_grid=penalty_grid, opts=opts)
-    if threads > 1 and sys.platform == "linux":  # workers get their arguments by pickle
-        for name, value in {**{f"scenarios[{i}]": s for i, s in enumerate(scenarios)}, **work.keywords}.items():
-            try:
-                pickle.dumps(value)
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                raise ValueError(f"run_benchmark argument {name} does not pickle, so it cannot reach a "
-                                 f"worker process ({exc}); threads=1 runs the sweep in this process") from exc
+                             loss=loss, penalty_grid=penalty_grid)
     # fork by name: spawn and forkserver re-import __main__ and break unguarded scripts; macOS's fork is unsafe
     workers = _worker_count(threads, len(jobs)) if sys.platform == "linux" else 1
     if workers > 1:

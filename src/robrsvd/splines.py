@@ -33,10 +33,6 @@ class SplineFunction:
     values: np.ndarray
     second_derivs: np.ndarray
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.knots[0]), float(self.knots[-1])
-
     def in_domain(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return (t >= self.knots[0]) & (t <= self.knots[-1])

@@ -291,9 +291,43 @@ def test_config_file_unknown_key_rejected(tmp_path):
 
 def test_read_config_file_parsing(tmp_path):
     config = tmp_path / "c.cfg"
-    config.write_text("a = 3\nb = 0.5\nc = true\nd = hello # trailing\n")
+    config.write_text("a = 3\nb = 0.5\nc = true\nd = hello # trailing\ne = -999\n")
     parsed = read_config_file(config)
-    assert parsed == {"a": 3, "b": 0.5, "c": True, "d": "hello"}
+    # values stay text; argparse reads them through each option's type
+    assert parsed == {"a": "3", "b": "0.5", "c": "true", "d": "hello", "e": "-999"}
+
+
+def test_config_missing_token_is_read_like_the_flag(tmp_path):
+    # a numeric-looking token must stay the text that marks the cells
+    path = tmp_path / "holes.csv"
+    values = generate(SimScenario(grid_size=(12, 10), noise_variance=0.2, seed=3)).data.values
+    rows = [",".join(["r"] + [str(j) for j in range(10)])]
+    rows += [",".join([str(i)] + ["-999" if (i + j) % 7 == 0 else repr(x) for j, x in enumerate(row)])
+             for i, row in enumerate(values.tolist())]
+    path.write_text("\n".join(rows) + "\n")
+    (tmp_path / "run.cfg").write_text("missing-token = -999\nmethod = rsvd\n")
+    assert main(["decompose", str(path), "--config", str(tmp_path / "run.cfg"),
+                 "--out", str(tmp_path / "by_config")]) == 0
+    assert main(["decompose", str(path), "--missing-token", "-999", "--method", "rsvd",
+                 "--out", str(tmp_path / "by_flag")]) == 0
+    residual = (tmp_path / "by_config" / "residual.csv").read_bytes()
+    assert residual == (tmp_path / "by_flag" / "residual.csv").read_bytes()
+    assert residual.count(b"-999") == sum((i + j) % 7 == 0 for i in range(12) for j in range(10))
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("max-iter = 1.5", "argument --max-iter: invalid int value: '1.5'"),
+    ("log2-half = yes", "argument --log2-half: expected true or false, got 'yes'"),
+])
+def test_config_value_is_converted_like_flag_text(tmp_path, monkeypatch, capsys, entry, message):
+    write_diag_csv(tmp_path)
+    (tmp_path / "bad.cfg").write_text(entry + "\n")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "diag.csv", "--config", "bad.cfg", "--out", "out"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "diag.csv"]
 
 
 def test_nonzero_exit_on_missing_file(tmp_path):

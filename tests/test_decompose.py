@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -295,6 +296,19 @@ def test_renormalization_neutrality():
     a = huber_objective(X, 1.0, u, v, 1.345, 1.0, spec)
     b = huber_objective(X, 1.0, c * u, v / c, 1.345, 1.0, spec)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_zero_matrix_exits_at_zero_s_or_names_the_degenerate_scale():
+    # rsvd: the squared loss needs no scale (sigma 1.0), and the first
+    # half-step's zero solution ends the fit
+    pair = fit_rank_one_rsvd(np.zeros((6, 5)))
+    assert pair.s == 0.0
+    assert pair.converged
+    assert pair.iterations == 1
+    assert pair.history["sigma"] == 1.0
+    # robrsvd: Huber weights need a residual scale, and all-zero residuals have none
+    with pytest.raises(ValueError, match=re.escape("degenerate residuals (all zero)")):
+        fit_rank_one_robrsvd(np.zeros((6, 5)))
 
 
 def test_nonconvergence_reported():

@@ -1,13 +1,12 @@
 import multiprocessing
 import os
-import sys
+import re
 
 import numpy as np
 import pytest
 
 from robrsvd.simulate import (
     BenchmarkResult,
-    Rank2Config,
     SimScenario,
     generate,
     mask_random,
@@ -198,19 +197,6 @@ def test_benchmark_reproducible_and_thread_invariant():
         assert a.failures == b.failures
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="worker processes run on Linux only")
-def test_unpicklable_argument_fails_before_any_worker_starts():
-    scen = SimScenario(rank=2, grid_size=(12, 12), noise_variance=0.5, contamination="none",
-                       rank2_config=Rank2Config(left_shape=lambda t: t**2))
-    kwargs = dict(methods=("svd",), replications=2, base_seed=0)
-    with pytest.raises(ValueError, match=r"argument scenarios\[0\] does not pickle.*threads=1"):
-        run_benchmark([scen], threads=2, **kwargs)
-    assert multiprocessing.active_children() == []
-    res = run_benchmark([scen], threads=1, **kwargs)
-    assert not res.failures
-    assert {r["replications"] for r in res.summary} == {2}
-
-
 def test_worker_count_is_bounded_by_jobs_and_cores():
     # pure arithmetic: no pool is built, so no process starts
     cores = len(os.sched_getaffinity(0))
@@ -254,6 +240,29 @@ def test_benchmark_rejects_a_mask_count_out_of_range_before_any_replication(monk
     assert ran == []
 
 
+@pytest.mark.parametrize("scenarios, methods, repeat", [
+    ([SimScenario(grid_size=(12, 12))], ("svd", "rsvd", "svd"), "method 'svd'"),
+    ([SimScenario(grid_size=(12, 12)), SimScenario(grid_size=(12, 12))], ("svd",),
+     "scenario name and noise variance ('none', 1.0)"),
+    # the grid size is not in the summary key, so two sizes would also merge
+    ([SimScenario(grid_size=(12, 12), contamination="diagonal"),
+      SimScenario(grid_size=(16, 16), contamination="diagonal")], ("svd",),
+     "scenario name and noise variance ('diagonal', 1.0)"),
+], ids=["method", "scenario", "grid-size"])
+def test_benchmark_rejects_a_repeat_that_would_merge_summary_rows(monkeypatch, scenarios, methods, repeat):
+    import robrsvd.simulate as simulate
+
+    ran = []
+    monkeypatch.setattr(simulate, "_one_replication", lambda job, **_: ran.append(job) or (None, "not run"))
+    with pytest.raises(ValueError, match=re.escape(f"repeated {repeat}")):
+        run_benchmark(scenarios, methods=methods, replications=2)
+    assert ran == []
+    # another rank or noise variance is another summary row
+    run_benchmark([SimScenario(grid_size=(12, 12)), SimScenario(rank=2, grid_size=(12, 12)),
+                   SimScenario(grid_size=(12, 12), noise_variance=0.5)], methods=("svd",), replications=1)
+    assert len(ran) == 3
+
+
 def test_summary_csv_schema(tmp_path):
     scen = SimScenario(grid_size=(12, 12), noise_variance=0.2, contamination="none")
     res = run_benchmark([scen], methods=("svd",), replications=2, base_seed=5)
@@ -272,4 +281,3 @@ def test_scenario_validation():
         SimScenario(noise_variance=-1.0)
     with pytest.raises(ValueError):
         SimScenario(contamination="rows")
-    assert SimScenario(rank=2).rank2_config == Rank2Config()

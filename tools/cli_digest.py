@@ -15,7 +15,10 @@ one-point lambda grid of both inputs, plus gcv-trace at a fixed sigma,
 simulate with and without missing cells at 1 and 2 workers, and transform
 of a triplet file with its own missing token. The same triplet file, with
 integer grid labels, is also decomposed at rank 2 after the log transform,
-with 50 spline points, which writes its missing cells as that token.
+with 50 spline points, which writes its missing cells as that token. Last,
+decompose (on both dense inputs) and simulate read their settings from
+``--config`` files: rsvd at rank 2 on 5 lambda values, and rank 2 at noise
+variance 0.5.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ def write_inputs() -> dict:
     # transform takes log2(x + 1/2), so its input is nonnegative
     rates = ObservedMatrix(np.abs(masked.values), masked.mask, 1900 + np.arange(30.0), np.arange(25.0))
     save(rates, MatrixFile("inputs/rates.txt", "hmd_triplet", "NA"))
+    with open("inputs/decompose.cfg", "w") as fh:
+        fh.write("method = rsvd\nrank = 2\nlambda-count = 5\n")
+    with open("inputs/simulate.cfg", "w") as fh:
+        fh.write("rank = 2\nsigma2 = 0.5\nlambda-count = 5\n")
     return {"complete": "inputs/complete.csv", "masked": "inputs/masked.csv"}
 
 
@@ -75,6 +82,10 @@ def commands(inputs: dict) -> list:
                  "--out", "out/rates_log.txt"])
     runs.append(["decompose", "inputs/rates.txt", "--format", "hmd_triplet", "--missing-token", "NA",
                  "--log2-half", "--rank", "2", "--spline-points", "50", "--out", "out/decompose_rates"])
+    for name, path in inputs.items():
+        runs.append(["decompose", path, "--config", "inputs/decompose.cfg", "--out", f"out/decompose_{name}_config"])
+    runs.append(["simulate", "--config", "inputs/simulate.cfg", "--rows", "20", "--cols", "20", "--replications", "2",
+                 "--seed", "5", "--output-format", "both", "--out", "out/simulate_config"])
     return runs
 
 
