@@ -23,7 +23,6 @@ from .dataio import MatrixFile, format_number, load, log_transform, save, save_j
 from .decompose import METHODS, FitOptions, fit, fit_start, spline_penalties
 from .robust import DEFAULT_THETA, RobustLossSpec
 from .selection import LambdaGrid
-from .penalties import TwoWayPenaltySpec
 from .simulate import (
     SimScenario,
     run_benchmark,
@@ -217,7 +216,7 @@ def cmd_gcv_trace(cfg: dict) -> int:
         raise ValueError("gcv-trace needs an input file")
     X = load(_matrix_file(cfg))
     # both smoothing parameters start at 0, so the other side is unpenalized
-    spec = TwoWayPenaltySpec(*spline_penalties(X))
+    spec = spline_penalties(X)
     loss = _loss(cfg)
     s, u, v, sigma = fit_start(X, loss)
     weights = loss.weights(X.values - s * np.outer(u, v), sigma) * X.mask

@@ -1,16 +1,16 @@
 """Rank-one robust regularized fits and sequential deflation.
 
 The iteratively reweighted least squares engine alternates two conditional
-regressions, v given u and u given v, written once as ``_half_step``:
-weights are recomputed from the sigma-scaled residuals before each one, the
+regressions, v given u and u given v, written once as ``_half_step``; the
 smoothing parameter of the side being updated is chosen by GCV (optionally
-frozen after a few iterations to stabilize convergence), and the solution's
-norm becomes the running singular-value estimate. ``fit_start`` gives the
-plain SVD start. With an infinite robustness threshold the weights are
-constant and the loop is exactly the nonrobust regularized SVD; with the
-penalties at zero it reduces further to the plain SVD. A missing cell has
-weight zero in both regressions and no term in the objective, so masked
-input runs the same loop on its observed cells, from its row-mean fill.
+frozen after a few iterations), and the solution's norm becomes the running
+singular value. After each half-step the residual X - s uv' is formed once,
+for the objective and the next half-step's Huber weights. ``fit_start``
+gives the SVD start and ``spline_penalties`` the penalty spec, built once
+per fit. An infinite robustness threshold gives the nonrobust regularized
+SVD; zero penalties then give the plain SVD. A missing cell has weight zero
+and no term in the objective, so masked input runs the loop on its observed
+cells, from its row-mean fill; complete input has every cell observed.
 """
 
 from __future__ import annotations
@@ -50,7 +50,11 @@ class FitOptions:
     ``lambda_freeze_after``: stop re-selecting the smoothing parameters by
     GCV after this many iterations and keep the last choice (None disables
     freezing). Re-selecting every step can cycle; freezing is on by default
-    and is recorded in the fit history. ``tol`` must be a number >= 0,
+    and is recorded in the fit history. An iteration has converged when the
+    objective f moves by at most tol * max(|f_prev|, |f|) + c * eps * sum x^2
+    (observed cells), c = 1: f is at most about sum x^2, and the f of an
+    exact low-rank fit cycles below eps * sum x^2 at the dense penalty's
+    rounding, where no relative test passes. ``tol`` must be a number >= 0,
     ``max_iter`` at least 1 and ``lambda_freeze_after`` None or at least 1;
     ValueError names a value out of range.
     """
@@ -148,6 +152,9 @@ def huber_objective(values, s, u, v, theta, sigma, spec: TwoWayPenaltySpec, mask
 
 def _leading_triple(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     u_mat, s_vec, vt = np.linalg.svd(values, full_matrices=False)
+    if s_vec[0] == 0.0:  # constant vectors weight every row and column: a masked zero fit ends at s = 0
+        m, n = values.shape
+        return 0.0, np.full(m, m ** -0.5), np.full(n, n ** -0.5)
     u, v = _sign_fix(u_mat[:, 0], vt[0])
     return float(s_vec[0]), u, v
 
@@ -164,21 +171,19 @@ def fit_start(X, loss: RobustLossSpec) -> tuple[float, np.ndarray, np.ndarray, f
     input: weights scaled by rounding error would discount every cell.
     """
     X = _as_observed(X)
-    values = X.values
-    if not X.is_complete:
-        obs_rows, obs_cols = X.mask.sum(axis=1), X.mask.sum(axis=0)
-        if not (obs_rows.all() and obs_cols.all()):
-            raise ValueError(
-                f"every row and column needs at least one observed cell "
-                f"(empty rows {np.flatnonzero(obs_rows == 0).tolist()}, "
-                f"empty columns {np.flatnonzero(obs_cols == 0).tolist()})"
-            )
-        values = np.where(X.mask, values, (values.sum(axis=1) / obs_rows)[:, None])
+    obs_rows, obs_cols = X.mask.sum(axis=1), X.mask.sum(axis=0)
+    if not (obs_rows.all() and obs_cols.all()):
+        raise ValueError(
+            f"every row and column needs at least one observed cell "
+            f"(empty rows {np.flatnonzero(obs_rows == 0).tolist()}, "
+            f"empty columns {np.flatnonzero(obs_cols == 0).tolist()})"
+        )
+    values = np.where(X.mask, X.values, (X.values.sum(axis=1) / obs_rows)[:, None])
     s, u, v = _leading_triple(values)
     if loss.sigma is not None:
         return s, u, v, float(loss.sigma)
     try:
-        sigma = estimate_scale_mad(X.with_values(values - s * np.outer(u, v)))
+        sigma = estimate_scale_mad((values - s * np.outer(u, v))[X.mask])
     except ValueError:
         if np.isinf(loss.theta):
             return s, u, v, 1.0  # squared loss: the scale cancels from every update
@@ -192,13 +197,13 @@ def fit_start(X, loss: RobustLossSpec) -> tuple[float, np.ndarray, np.ndarray, f
     return s, u, v, sigma
 
 
-def spline_penalties(X: ObservedMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The spline penalty pair (Omega_u, Omega_v) on the row and column grids of X."""
+def spline_penalties(X: ObservedMatrix) -> TwoWayPenaltySpec:
+    """The validated spline penalty spec at lambda 0 on the grids of X; ``with_lambdas`` derives the rest."""
     if min(X.shape) < 3:
         raise ValueError(
             f"a spline penalty needs at least 3 rows and 3 columns, got {X.shape[0]}x{X.shape[1]}"
         )
-    return build_roughness_penalty(X.row_grid), build_roughness_penalty(X.col_grid)
+    return TwoWayPenaltySpec(build_roughness_penalty(X.row_grid), build_roughness_penalty(X.col_grid))
 
 
 def _as_observed(X) -> ObservedMatrix:
@@ -220,28 +225,27 @@ def _half_step(kernel: ConditionalKernel, grid: LambdaGrid, lam: float, selectin
     return lam, trace, s, (x / s if s else x)
 
 
-def _irls_rank_one(X: ObservedMatrix, omegas, loss: RobustLossSpec, grid: LambdaGrid,
+def _irls_rank_one(X: ObservedMatrix, spec: TwoWayPenaltySpec, loss: RobustLossSpec, grid: LambdaGrid,
                    opts: FitOptions) -> ComponentPair:
-    # missing cells get weight 0 and drop out of the objective
-    values = X.values
-    mask = None if X.is_complete else X.mask
-    spec0 = TwoWayPenaltySpec(*omegas)
-
+    # a missing cell has weight 0 and no term in the objective; complete input
+    # has an all-True mask, on which both are exact no-ops
+    values, mask = X.values, X.mask
     s, u, v, sigma = fit_start(X, loss)
     theta = float(loss.theta)
+    floor = float(np.finfo(float).eps * np.sum(values * values))  # see FitOptions; masked cells hold 0
 
     selecting_possible = len(grid) > 1
     lam_u = lam_v = (0.0 if selecting_possible else grid.values[0])
     trace_v = trace_u = None
 
-    def objective(s_, u_, v_, lu, lv):
-        return huber_objective(values, s_, u_, v_, theta, sigma, spec0.with_lambdas(lu, lv), mask)
+    def evaluate(s_, u_, v_, lu, lv):
+        # one residual per half-step: it gives the objective at (s, u, v),
+        # equal to huber_objective, and the next half-step's weights
+        r = values - s_ * np.outer(u_, v_)
+        rho = np.where(mask, huber_rho(r / sigma, theta), 0.0)
+        return sigma * sigma * float(np.sum(rho)) + two_way_penalty(s_ * u_, v_, spec.with_lambdas(lu, lv)), r
 
-    def weights(s_, u_, v_):
-        w = loss.weights(values - s_ * np.outer(u_, v_), sigma)
-        return w if mask is None else w * mask
-
-    f_prev = objective(s, u, v, lam_u, lam_v)
+    f_prev, r = evaluate(s, u, v, lam_u, lam_v)
     history = {
         "objective": [],
         "half_objective": [],
@@ -258,16 +262,17 @@ def _irls_rank_one(X: ObservedMatrix, omegas, loss: RobustLossSpec, grid: Lambda
         freeze = opts.lambda_freeze_after
         selecting = selecting_possible and (freeze is None or it <= freeze)
 
-        kernel = ConditionalKernel(values, u, weights(s, u, v), spec0.with_lambdas(lambda_u=lam_u))
+        kernel = ConditionalKernel(values, u, loss.weights(r, sigma) * mask, spec.with_lambdas(lambda_u=lam_u))
         lam_v, trace, s, v_new = _half_step(kernel, grid, lam_v, selecting)
         trace_v = trace or trace_v
         if s == 0.0:
             converged = True
             break
         v = v_new
-        history["half_objective"].append(objective(s, u, v, lam_u, lam_v))
+        f_half, r = evaluate(s, u, v, lam_u, lam_v)
+        history["half_objective"].append(f_half)
 
-        kernel = ConditionalKernel.for_u(values, v, weights(s, u, v), spec0.with_lambdas(lambda_v=lam_v))
+        kernel = ConditionalKernel.for_u(values, v, loss.weights(r, sigma) * mask, spec.with_lambdas(lambda_v=lam_v))
         lam_u, trace, s, u_new = _half_step(kernel, grid, lam_u, selecting)
         trace_u = trace or trace_u
         if s == 0.0:
@@ -275,12 +280,12 @@ def _irls_rank_one(X: ObservedMatrix, omegas, loss: RobustLossSpec, grid: Lambda
             break
         u = u_new
 
-        f = objective(s, u, v, lam_u, lam_v)
+        f, r = evaluate(s, u, v, lam_u, lam_v)
         history["objective"].append(f)
         history["half_objective"].append(f)
         history["lambda_u"].append(lam_u)
         history["lambda_v"].append(lam_v)
-        converged = abs(f - f_prev) <= opts.tol * max(abs(f_prev), abs(f), 1e-12)
+        converged = abs(f - f_prev) <= opts.tol * max(abs(f_prev), abs(f)) + floor
         f_prev = f
         if converged:
             break
@@ -306,7 +311,7 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
 
 
-def rank_one_fit(X, method: str, loss=None, penalty_grid=None, opts=None, omegas=None) -> ComponentPair:
+def rank_one_fit(X, method: str, loss=None, penalty_grid=None, opts=None, spec=None) -> ComponentPair:
     """Rank-one fit by method name, one of ``METHODS``: where each name gets its loss, penalty and grid.
 
     - svd on complete input: the leading LAPACK triple.
@@ -315,9 +320,9 @@ def rank_one_fit(X, method: str, loss=None, penalty_grid=None, opts=None, omegas
     - robrsvd: ``loss`` (default ``RobustLossSpec()``) with the spline penalty pair.
 
     ``loss`` is read by robrsvd only, ``penalty_grid`` (default
-    ``LambdaGrid.log_default()``) by rsvd and robrsvd. ``omegas`` is the
-    spline pair when it is already built, as ``fit`` does once for all
-    components.
+    ``LambdaGrid.log_default()``) by rsvd and robrsvd. ``spec`` is the
+    validated ``spline_penalties(X)`` when the caller has built it, as
+    ``fit`` does once for all components; masked svd builds its zero spec.
     """
     _check_method(method)
     X = _as_observed(X)
@@ -328,14 +333,14 @@ def rank_one_fit(X, method: str, loss=None, penalty_grid=None, opts=None, omegas
             return ComponentPair(s=s, u=u, v=v, iterations=0, converged=True,
                                  final_objective=float(np.sum((X.values - s * np.outer(u, v)) ** 2)))
         m, n = X.shape
-        return _irls_rank_one(X, (np.zeros((m, m)), np.zeros((n, n))), squared_loss_spec(),
+        return _irls_rank_one(X, TwoWayPenaltySpec(np.zeros((m, m)), np.zeros((n, n))), squared_loss_spec(),
                               LambdaGrid((0.0,)), opts)
     if method == "rsvd":
         loss = squared_loss_spec()
     elif loss is None:
         loss = RobustLossSpec()
     grid = LambdaGrid.log_default() if penalty_grid is None else penalty_grid
-    return _irls_rank_one(X, spline_penalties(X) if omegas is None else omegas, loss, grid, opts)
+    return _irls_rank_one(X, spline_penalties(X) if spec is None else spec, loss, grid, opts)
 
 
 def fit_rank_one_robrsvd(X, loss: RobustLossSpec = None, penalty_grid: LambdaGrid = None,
@@ -364,10 +369,11 @@ def fit_rank_one_svd(X, opts: FitOptions = None) -> ComponentPair:
 
     The plain unpenalized, unweighted baseline. On a complete matrix it is
     the leading SVD triple, computed by LAPACK; it is the same triple every
-    IRLS fit starts from. A zero matrix gives s = 0 with the first unit
-    vectors. On a masked matrix it is the IRLS loop under the squared loss
-    with no penalty, i.e. alternating least squares on the observed cells
-    (criss-cross regression, Gabriel & Zamir 1979), stopped by ``opts``.
+    IRLS fit starts from. A zero matrix, complete or masked, gives s = 0
+    with constant unit vectors. On a masked matrix it is the IRLS loop under
+    the squared loss with no penalty, i.e. alternating least squares on the
+    observed cells (criss-cross regression, Gabriel & Zamir 1979), stopped
+    by ``opts``.
     """
     return rank_one_fit(X, "svd", opts=opts)
 
@@ -391,13 +397,13 @@ def fit(
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank must be between 1 and {min(m, n)}, got {rank}")
     _check_method(method)
-    omegas = None if method == "svd" else spline_penalties(X)
+    spec = None if method == "svd" else spline_penalties(X)
 
     components = []
     resid = X
     for k in range(rank):
         try:
-            pair = rank_one_fit(resid, method, loss, penalty_grid, opts, omegas)
+            pair = rank_one_fit(resid, method, loss, penalty_grid, opts, spec)
         except Exception as exc:
             raise RuntimeError(f"component {k + 1} failed: {exc}") from exc
         components.append(pair)

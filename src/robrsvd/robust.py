@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import ObservedMatrix
-
 __all__ = [
     "DEFAULT_THETA",
     "RobustLossSpec",
@@ -83,13 +81,11 @@ def huber_weight(x, theta: float = DEFAULT_THETA):
 
 
 def estimate_scale_mad(residuals) -> float:
-    """Normalized median absolute deviation of the nonzero observed residuals.
+    """Normalized median absolute deviation of the nonzero residuals.
 
-    ``residuals`` is an array, every cell observed, or an ObservedMatrix,
-    whose masked cells are left out. Returns median(|r|, r != 0) / 0.675
-    over the observed cells. Exact zeros are excluded so that cells fitted
-    perfectly (or masked placeholders that slipped through) do not drag the
-    scale down.
+    ``residuals`` is an array of observed residuals; a masked matrix passes
+    ``r[mask]``. Returns median(|r|, r != 0) / 0.675. Exact zeros are
+    excluded so that cells fitted perfectly do not drag the scale down.
 
     Raises
     ------
@@ -97,10 +93,7 @@ def estimate_scale_mad(residuals) -> float:
         If every observed residual is zero; the scale is then undefined and
         must be fixed manually.
     """
-    if isinstance(residuals, ObservedMatrix):
-        r = residuals.values[residuals.mask]
-    else:
-        r = np.asarray(residuals, dtype=float).ravel()
+    r = np.asarray(residuals, dtype=float).ravel()
     r = r[r != 0]
     if r.size == 0:
         raise ValueError("degenerate residuals (all zero); fix sigma manually")

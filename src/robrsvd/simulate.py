@@ -68,8 +68,8 @@ class SimScenario:
     def __post_init__(self):
         if self.rank not in (1, 2):
             raise ValueError("rank must be 1 or 2")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be nonnegative")
+        if not 0 <= self.noise_variance < np.inf:
+            raise ValueError(f"noise_variance must be a finite number >= 0, got {self.noise_variance}")
         if self.contamination not in CONTAMINATIONS:
             raise ValueError(f"contamination must be one of {CONTAMINATIONS}")
 

@@ -5,6 +5,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from robrsvd import cli
 from robrsvd.cli import main, read_config_file
@@ -144,8 +146,13 @@ def test_simulate_rejects_threads_below_one(tmp_path, capsys):
     (["simulate", "--rows", "12", "--cols", "12", "--replications", "1", "--methods", "foo"], "unknown method"),
     (["simulate", "--rows", "12", "--cols", "12", "--replications", "2", "--mask-count", "-5"],
      "mask_count must be in [0, 144) for a 12x12 scenario, got -5"),
+    (["simulate", "--scenario", "none", "--rows", "12", "--cols", "12", "--replications", "2", "--sigma2", "nan"],
+     "noise_variance must be a finite number >= 0, got nan"),
+    (["simulate", "--scenario", "none", "--rows", "12", "--cols", "12", "--replications", "2", "--sigma2", "inf"],
+     "noise_variance must be a finite number >= 0, got inf"),
 ], ids=["decompose-rank", "decompose-sigma", "decompose-missing", "decompose-spline-points-negative",
-        "decompose-spline-points-zero", "simulate-methods", "simulate-mask-count"])
+        "decompose-spline-points-zero", "simulate-methods", "simulate-mask-count", "simulate-sigma2-nan",
+        "simulate-sigma2-inf"])
 def test_a_rejected_command_creates_no_out_folder(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     paths = {"diag": write_diag_csv(tmp_path), "missing": str(tmp_path / "absent.csv")}
@@ -429,6 +436,49 @@ def test_config_value_outside_choices_rejected(tmp_path, monkeypatch, argv, entr
         main(argv + ["--config", "bad.cfg"])
     assert exc.value.code == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "diag.csv"]
+
+
+def _value_options():
+    """(subcommand, option string) of every option that takes a value text."""
+    _, commands = cli.build_parser()
+    return [(name, action.option_strings[-1]) for name, command in commands.items()
+            for action in command._actions
+            if action.option_strings and action.nargs != 0 and action.dest not in ("help", "config")]
+
+
+# value texts a config line keeps as written: no '#', no line break, no edge whitespace
+VALUE_TEXT = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "2.5", "1e-3", "-0.5", "inf", "nan", "none", "true", "1_0", "",
+                     "dense_csv", "hmd_triplet", "svd", "rsvd", "robrsvd", "csv", "json", "both", "u", "v",
+                     "none,diagonal", "0.5,1"]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="#"), max_size=8)
+    .filter(lambda t: t == t.strip()),
+)
+
+
+@pytest.mark.parametrize("command, option", _value_options(), ids=[c + o for c, o in _value_options()])
+@settings(max_examples=6, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=VALUE_TEXT)
+def test_flag_and_config_entry_resolve_alike(tmp_path, monkeypatch, capsys, command, option, text):
+    # every command receives the options as resolved; capture them instead of running
+    seen = []
+    for name in ("cmd_decompose", "cmd_simulate", "cmd_gcv_trace", "cmd_transform"):
+        monkeypatch.setattr(cli, name, lambda cfg: seen.append(cfg) or 0)
+    config = tmp_path / "entry.cfg"
+    config.write_text(f"{option.lstrip('-')} = {text}\n")
+
+    def resolve(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        return code, repr(seen.pop()) if code == 0 else err.splitlines()[-1:]
+
+    by_flag = resolve([command, f"{option}={text}"])
+    assert by_flag[0] in (0, 2)
+    assert resolve([command, "--config", str(config)]) == by_flag
 
 
 def test_cli_and_demos_import_public_names_only():

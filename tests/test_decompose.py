@@ -13,12 +13,14 @@ from robrsvd.decompose import (
     fit_rank_one_rsvd,
     fit_rank_one_svd,
     huber_objective,
+    rank_one_fit,
+    spline_penalties,
 )
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import RobustLossSpec, squared_loss_spec
 from robrsvd.selection import LambdaGrid
-from robrsvd.simulate import SimScenario, generate, metric_l2, metric_principal_angle
+from robrsvd.simulate import SimScenario, generate, mask_random, metric_l2, metric_principal_angle
 
 
 def smooth_rank_one(m=20, n=15, scale=50.0):
@@ -309,6 +311,46 @@ def test_zero_matrix_exits_at_zero_s_or_names_the_degenerate_scale():
     # robrsvd: Huber weights need a residual scale, and all-zero residuals have none
     with pytest.raises(ValueError, match=re.escape("degenerate residuals (all zero)")):
         fit_rank_one_robrsvd(np.zeros((6, 5)))
+
+
+@pytest.mark.parametrize("fitter", [fit_rank_one_svd, fit_rank_one_rsvd])
+def test_masked_zero_matrix_exits_at_zero_s(fitter):
+    # LAPACK's leading vectors of the zero fill are e1, which weights only
+    # row 0, whose column-0 cell is missing; constant start vectors weight all
+    mask = np.ones((6, 5), dtype=bool)
+    mask[0, 0] = False
+    pair = fitter(ObservedMatrix(np.zeros((6, 5)), mask))
+    assert pair.s == 0.0
+    assert pair.converged
+    assert pair.iterations == 1
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["complete", "masked"])
+def test_exact_rank_one_input_converges_at_the_rounding_floor(masked):
+    # the dense penalty rounds near 0, so the objective of an exact fit cycles
+    # at ~1e-16; a test relative to the objective alone never passes
+    X = np.outer(np.arange(1, 7.0), np.arange(1, 6.0))
+    mask = np.ones(X.shape, dtype=bool)
+    mask[0, 0] = not masked
+    pair = fit_rank_one_rsvd(ObservedMatrix(X, mask))
+    assert pair.converged
+    np.testing.assert_allclose(pair.reconstruction()[mask], X[mask], rtol=0, atol=1e-10 * np.abs(X).max())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_final_objective_is_the_public_objective_at_the_returned_fit(seed):
+    # the loop's fused evaluation (one residual per half-step) against the
+    # public formula, bit for bit
+    res = generate(SimScenario(grid_size=(30, 25), contamination="outlying_rows", seed=seed))
+    X, masked = res.data, mask_random(res, 60, seed=seed).data
+    zero = TwoWayPenaltySpec(np.zeros((30, 30)), np.zeros((25, 25)))
+    cases = [(X, "rsvd"), (X, "robrsvd"), (masked, "rsvd"), (masked, "robrsvd"), (masked, "svd")]
+    for data, method in cases:
+        pair = rank_one_fit(data, method)
+        spec = zero if method == "svd" else spline_penalties(data)
+        want = huber_objective(data.values, pair.s, pair.u, pair.v, pair.history["theta"], pair.history["sigma"],
+                               spec.with_lambdas(pair.lambda_u, pair.lambda_v), data.mask)
+        assert pair.final_objective == want, method
 
 
 def test_nonconvergence_reported():

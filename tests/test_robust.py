@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from robrsvd.matrices import ObservedMatrix
 from robrsvd.robust import (
     RobustLossSpec,
     estimate_scale_mad,
@@ -113,13 +112,6 @@ def test_mad_sign_flip_invariance_and_scale_equivariance():
     r = rng.standard_normal(40)
     assert estimate_scale_mad(-r) == estimate_scale_mad(r)
     assert estimate_scale_mad(3.5 * r) == pytest.approx(3.5 * estimate_scale_mad(r), rel=1e-12)
-
-
-def test_mad_respects_residual_matrix_mask():
-    resid = ObservedMatrix(np.array([[5.0, 0.0], [1.0, 1.0]]),
-                           np.array([[False, True], [True, True]]))
-    # the 5.0 is masked; remaining nonzeros are {1, 1}
-    assert estimate_scale_mad(resid) == pytest.approx(1 / 0.675, rel=1e-12)
 
 
 def test_mad_degenerate_error():

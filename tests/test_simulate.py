@@ -281,3 +281,10 @@ def test_scenario_validation():
         SimScenario(noise_variance=-1.0)
     with pytest.raises(ValueError):
         SimScenario(contamination="rows")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_scenario_names_a_noise_variance_that_is_not_finite_and_nonnegative(value):
+    # NaN fails every comparison, so "< 0" let it through to a noise-free draw
+    with pytest.raises(ValueError, match=re.escape(f"noise_variance must be a finite number >= 0, got {value}")):
+        SimScenario(noise_variance=value)
