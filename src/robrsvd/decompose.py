@@ -51,10 +51,12 @@ class FitOptions:
     GCV after this many iterations and keep the last choice (None disables
     freezing). Re-selecting every step can cycle; freezing is on by default
     and is recorded in the fit history. An iteration has converged when the
-    objective f moves by at most tol * max(|f_prev|, |f|) + c * eps * sum x^2
-    (observed cells), c = 1: f is at most about sum x^2, and the f of an
-    exact low-rank fit cycles below eps * sum x^2 at the dense penalty's
-    rounding, where no relative test passes. ``tol`` must be a number >= 0,
+    objective f moves by at most tol * max(|f_prev|, |f|), plus c * eps *
+    sum x^2 (observed cells; f is at most about that), c = 1, if f rose: f
+    never rises at fixed lambda in exact arithmetic, and on exact low-rank
+    input it cycles near 0 at the dense penalty's rounding (c = 1e-4 still
+    cycled at 30x25). A fall gets no floor, which would stop least squares
+    near sqrt(eps) of an exact fit. ``tol`` must be a number >= 0,
     ``max_iter`` at least 1 and ``lambda_freeze_after`` None or at least 1;
     ValueError names a value out of range.
     """
@@ -239,8 +241,7 @@ def _irls_rank_one(X: ObservedMatrix, spec: TwoWayPenaltySpec, loss: RobustLossS
     trace_v = trace_u = None
 
     def evaluate(s_, u_, v_, lu, lv):
-        # one residual per half-step: it gives the objective at (s, u, v),
-        # equal to huber_objective, and the next half-step's weights
+        # one residual per half-step gives the objective (= huber_objective) and the next weights
         r = values - s_ * np.outer(u_, v_)
         rho = np.where(mask, huber_rho(r / sigma, theta), 0.0)
         return sigma * sigma * float(np.sum(rho)) + two_way_penalty(s_ * u_, v_, spec.with_lambdas(lu, lv)), r
@@ -285,7 +286,7 @@ def _irls_rank_one(X: ObservedMatrix, spec: TwoWayPenaltySpec, loss: RobustLossS
         history["half_objective"].append(f)
         history["lambda_u"].append(lam_u)
         history["lambda_v"].append(lam_v)
-        converged = abs(f - f_prev) <= opts.tol * max(abs(f_prev), abs(f)) + floor
+        converged = abs(f - f_prev) <= opts.tol * max(abs(f_prev), abs(f)) + (floor if f > f_prev else 0.0)
         f_prev = f
         if converged:
             break

@@ -438,12 +438,11 @@ def test_config_value_outside_choices_rejected(tmp_path, monkeypatch, argv, entr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "diag.csv"]
 
 
-def _value_options():
-    """(subcommand, option string) of every option that takes a value text."""
-    _, commands = cli.build_parser()
-    return [(name, action.option_strings[-1]) for name, command in commands.items()
-            for action in command._actions
-            if action.option_strings and action.nargs != 0 and action.dest not in ("help", "config")]
+# (subcommand, option string) of every option that takes a value text
+_, _COMMANDS = cli.build_parser()
+VALUE_OPTIONS = [(name, action.option_strings[-1]) for name, command in _COMMANDS.items()
+                 for action in command._actions
+                 if action.option_strings and action.nargs != 0 and action.dest not in ("help", "config")]
 
 
 # value texts a config line keeps as written: no '#', no line break, no edge whitespace
@@ -451,12 +450,12 @@ VALUE_TEXT = st.one_of(
     st.sampled_from(["0", "1", "-1", "2", "2.5", "1e-3", "-0.5", "inf", "nan", "none", "true", "1_0", "",
                      "dense_csv", "hmd_triplet", "svd", "rsvd", "robrsvd", "csv", "json", "both", "u", "v",
                      "none,diagonal", "0.5,1"]),
-    st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="#"), max_size=8)
+    st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="#"), max_size=8)
     .filter(lambda t: t == t.strip()),
 )
 
 
-@pytest.mark.parametrize("command, option", _value_options(), ids=[c + o for c, o in _value_options()])
+@pytest.mark.parametrize("command, option", VALUE_OPTIONS, ids=[c + o for c, o in VALUE_OPTIONS])
 @settings(max_examples=6, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=VALUE_TEXT)

@@ -325,14 +325,17 @@ def test_masked_zero_matrix_exits_at_zero_s(fitter):
     assert pair.iterations == 1
 
 
-@pytest.mark.parametrize("masked", [False, True], ids=["complete", "masked"])
-def test_exact_rank_one_input_converges_at_the_rounding_floor(masked):
-    # the dense penalty rounds near 0, so the objective of an exact fit cycles
-    # at ~1e-16; a test relative to the objective alone never passes
+@pytest.mark.parametrize("fitter, missing", [
+    (fit_rank_one_rsvd, []), (fit_rank_one_rsvd, [0]), (fit_rank_one_svd, [0]), (fit_rank_one_svd, [0, 6, 12, 18, 24]),
+], ids=["rsvd-complete", "rsvd-masked", "svd-masked", "svd-masked-diagonal"])
+def test_exact_rank_one_input_converges_at_the_rounding_floor(fitter, missing):
+    # the dense penalty rounds near 0, so the objective of an exact rsvd fit
+    # cycles at ~1e-16, where a test relative to the objective alone never
+    # passes; a floor on its falls would stop svd's linear convergence early
     X = np.outer(np.arange(1, 7.0), np.arange(1, 6.0))
     mask = np.ones(X.shape, dtype=bool)
-    mask[0, 0] = not masked
-    pair = fit_rank_one_rsvd(ObservedMatrix(X, mask))
+    mask.flat[missing] = False
+    pair = fitter(ObservedMatrix(X, mask))
     assert pair.converged
     np.testing.assert_allclose(pair.reconstruction()[mask], X[mask], rtol=0, atol=1e-10 * np.abs(X).max())
 
