@@ -34,9 +34,9 @@ kernel = ConditionalKernel(X, u, weights, spec)
 chosen, trace = kernel.select(LambdaGrid.log_default(1e-8, 1e2, 15))
 
 print(f"\n{'lambda':>12s} {'GCV':>14s} {'hat trace':>10s}")
-for rec in trace.records:
-    marker = "  <-- chosen" if rec.chosen else ""
-    print(f"{rec.lam:12.3e} {rec.score:14.6e} {rec.hat_trace:10.3f}{marker}")
+for i, (lam, score, hat_trace) in enumerate(zip(trace.lambdas, trace.scores, trace.hat_traces)):
+    marker = "  <-- chosen" if i == trace.chosen else ""
+    print(f"{lam:12.3e} {score:14.6e} {hat_trace:10.3f}{marker}")
 
 # the kernel that scored the grid also solves the update at the choice
 v_new = kernel.solve(chosen)

@@ -8,8 +8,7 @@ deleted cells are recovered almost perfectly.
 
 import numpy as np
 
-from robrsvd import FitOptions, fit
-from robrsvd.selection import LambdaGrid
+from robrsvd import FitOptions, LambdaGrid, fit
 from robrsvd.simulate import SimScenario, generate, mask_random, metric_l2
 
 clean = generate(SimScenario(grid_size=(40, 40), noise_variance=0.0,

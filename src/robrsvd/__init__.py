@@ -24,8 +24,7 @@ from .penalties import (
     two_way_penalty,
 )
 from .splines import SplineFunction, interpolate
-from .updates import ConditionalKernel, DegenerateSystemError
-from .selection import GcvRecord, GcvTrace, LambdaGrid
+from .updates import ConditionalKernel, DegenerateSystemError, GcvTrace, LambdaGrid
 from .decompose import (
     ComponentPair,
     Decomposition,
@@ -69,8 +68,7 @@ __all__ = [
     "TwoWayPenaltySpec", "build_roughness_penalty",
     "two_way_penalty",
     "SplineFunction", "interpolate",
-    "ConditionalKernel", "DegenerateSystemError",
-    "GcvRecord", "GcvTrace", "LambdaGrid",
+    "ConditionalKernel", "DegenerateSystemError", "GcvTrace", "LambdaGrid",
     "ComponentPair", "Decomposition", "FitOptions", "fit",
     "fit_rank_one_robrsvd", "fit_rank_one_rsvd", "fit_rank_one_svd", "huber_objective",
     "SimResult", "SimScenario", "SimTruth",

@@ -22,7 +22,6 @@ from . import __version__
 from .dataio import MatrixFile, format_number, load, log_transform, save, save_json, write_csv
 from .decompose import METHODS, FitOptions, fit, fit_start, spline_penalties
 from .robust import DEFAULT_THETA, RobustLossSpec
-from .selection import LambdaGrid
 from .simulate import (
     SimScenario,
     run_benchmark,
@@ -31,7 +30,7 @@ from .simulate import (
     CONTAMINATIONS,
 )
 from .splines import interpolate
-from .updates import ConditionalKernel
+from .updates import ConditionalKernel, LambdaGrid
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +40,7 @@ from .updates import ConditionalKernel
 def read_config_file(path) -> dict:
     """Flat ``key = value`` file of text values; '#' starts a comment; dashes become underscores."""
     config = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -59,9 +58,11 @@ def _options(args: argparse.Namespace) -> dict:
 
 
 def write_manifest(out_dir, command: str, config: dict, filename: str = "manifest.json") -> None:
+    """The command's resolved options and versions as JSON; a non-finite
+    float, which JSON cannot hold, is recorded as the text its flag takes."""
     manifest = {
         "command": command,
-        "config": config,
+        "config": {k: repr(v) if isinstance(v, float) and not np.isfinite(v) else v for k, v in config.items()},
         "versions": {
             "robrsvd": __version__,
             "numpy": np.__version__,
@@ -73,8 +74,8 @@ def write_manifest(out_dir, command: str, config: dict, filename: str = "manifes
                          for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     path = filename if out_dir is None else os.path.join(out_dir, filename)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -129,7 +130,7 @@ def cmd_decompose(cfg: dict) -> int:
             "row_grid": X.row_grid.tolist(),
             "col_grid": X.col_grid.tolist(),
         }
-        with open(os.path.join(out, "decomposition.json"), "w") as fh:
+        with open(os.path.join(out, "decomposition.json"), "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
             fh.write("\n")
         save_json(decomp.residual, os.path.join(out, "residual.json"))

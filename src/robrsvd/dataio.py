@@ -2,7 +2,8 @@
 
 Two on-disk formats are supported, both comma-separated UTF-8 text with a
 configurable missing-value token (default ".", the mortality-database
-convention):
+convention). A leading byte-order mark is skipped on reading and never
+written:
 
 * ``dense_csv`` -- first row holds column labels, first column row labels,
   the body holds numbers or the missing token.
@@ -87,7 +88,7 @@ def _parse_cell(text: str, missing_token: str, path, line_no: int):
 
 
 def _load_dense_csv(file: MatrixFile) -> ObservedMatrix:
-    with open(file.path, newline="") as fh:
+    with open(file.path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 3:
         raise ParseError(f"{file.path}:1: dense matrix needs a header row and at least 2 data rows")
@@ -115,7 +116,7 @@ def _load_dense_csv(file: MatrixFile) -> ObservedMatrix:
 
 
 def _load_hmd_triplet(file: MatrixFile) -> ObservedMatrix:
-    with open(file.path, newline="") as fh:
+    with open(file.path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     entries = {}
     start = 0
@@ -165,7 +166,7 @@ def _grid_label(x: float) -> str:
 
 def write_csv(path, header, rows) -> None:
     """Write a header row, then ``rows``, as comma-separated text with CRLF line ends."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -209,7 +210,7 @@ def matrix_to_json(X: ObservedMatrix) -> dict:
 
 
 def save_json(X: ObservedMatrix, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(matrix_to_json(X), fh)
         fh.write("\n")
 

@@ -22,8 +22,7 @@ import numpy as np
 from .matrices import ObservedMatrix
 from .penalties import TwoWayPenaltySpec, build_roughness_penalty, two_way_penalty
 from .robust import RobustLossSpec, estimate_scale_mad, huber_rho, squared_loss_spec
-from .selection import LambdaGrid
-from .updates import ConditionalKernel
+from .updates import ConditionalKernel, LambdaGrid
 
 __all__ = [
     "METHODS",
@@ -81,7 +80,7 @@ class ComponentPair:
     u and v have unit Euclidean norm, s >= 0, and the pair is sign-fixed so
     that the largest-magnitude entry of v is positive. ``history`` carries
     the objective trace, per-iteration smoothing parameters, the residual
-    scale actually used, and the final GCV traces.
+    scale actually used, and the last GCV sweep of each side (``GcvTrace``).
     """
 
     s: float

@@ -25,7 +25,7 @@ from .dataio import format_number, write_csv
 from .decompose import METHODS, fit
 from .matrices import ObservedMatrix
 from .robust import RobustLossSpec
-from .selection import LambdaGrid
+from .updates import LambdaGrid
 
 __all__ = [
     "SimScenario",
@@ -72,6 +72,17 @@ class SimScenario:
             raise ValueError(f"noise_variance must be a finite number >= 0, got {self.noise_variance}")
         if self.contamination not in CONTAMINATIONS:
             raise ValueError(f"contamination must be one of {CONTAMINATIONS}")
+        m, n = self.grid_size
+        if m < 2 or n < 2:
+            raise ValueError(f"grid_size must be at least 2x2, got {m}x{n}")
+        # (what the grid has, what the pattern's outliers need, of what)
+        room = {"outlying_cells": (m * n, OUTLYING_CELL_COUNT, "cells"),
+                "outlying_rows": (m, OUTLYING_ROW_COUNT, "rows"),
+                "outlying_block": (min(m, n), BLOCK_SIZE, "rows and columns")}.get(self.contamination)
+        if room is not None and room[0] < room[1]:
+            raise ValueError(f"{self.contamination} needs at least {room[1]} {room[2]}, got a {m}x{n} grid")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
     @property
     def name(self) -> str:
@@ -115,8 +126,6 @@ def generate(scenario: SimScenario) -> SimResult:
     the signal maximum; noise is added last, everywhere.
     """
     m, n = scenario.grid_size
-    if m < 2 or n < 2:
-        raise ValueError("grid_size must be at least 2x2")
     rng = np.random.default_rng(scenario.seed)
     y = np.linspace(0.0, 1.0, m)
     z = np.linspace(0.0, 1.0, n)
@@ -156,8 +165,6 @@ def generate(scenario: SimScenario) -> SimResult:
         values[rows] = SIGNAL_SCALE * np.outer(u0[rows], v_out)
         contaminated = [(int(i), j) for i in rows for j in range(n)]
     elif kind == "outlying_block":
-        if m < BLOCK_SIZE or n < BLOCK_SIZE:
-            raise ValueError(f"grid too small for a {BLOCK_SIZE}x{BLOCK_SIZE} outlying block")
         i0 = int(rng.integers(0, m - BLOCK_SIZE + 1))
         j0 = int(rng.integers(0, n - BLOCK_SIZE + 1))
         shift = rng.uniform(2.0 * c1, 3.0 * c1)
@@ -317,6 +324,8 @@ def run_benchmark(
         raise ValueError("replications must be at least 1")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be a nonnegative integer, got {base_seed}")
     scenarios, methods = list(scenarios), list(methods)
     for scenario in scenarios:
         m, n = scenario.grid_size
@@ -394,6 +403,6 @@ def write_summary_csv(result: BenchmarkResult, path) -> None:
 
 
 def write_summary_json(result: BenchmarkResult, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump({"summary": list(result.summary), "failures": list(result.failures)}, fh, indent=2)
         fh.write("\n")

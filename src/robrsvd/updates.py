@@ -10,23 +10,76 @@ sum_i u_i w_ij x_ij, so no mn-sized matrix is ever materialized; the systems
 are only n-by-n (or m-by-m for the mirrored update). ``ConditionalKernel``
 is the one place that forms this system: it scores a whole lambda grid at
 once (GCV scores and hat traces as two arrays), selects the grid value with
-the smallest score together with the sweep's record, and solves at the
-chosen lambda (one Cholesky solve), so a selecting half-step forms its
-system once.
+the smallest score together with the sweep's record (``GcvTrace``, those two
+arrays and the index of the pick), and solves at the chosen lambda (one
+Cholesky solve), so a selecting half-step forms its system once.
+
+Each half-step picks its own lambda from a ``LambdaGrid`` by a plain grid
+search. The two smoothing parameters are decoupled because each score
+conditions on the other side's current value.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 
+from .dataio import write_csv
 from .matrices import ObservedMatrix
 from .penalties import TwoWayPenaltySpec
-from .selection import GcvRecord, GcvTrace, LambdaGrid
 
-__all__ = ["ConditionalKernel", "DegenerateSystemError"]
+__all__ = ["ConditionalKernel", "DegenerateSystemError", "GcvTrace", "LambdaGrid"]
+
+
+@dataclass(frozen=True)
+class LambdaGrid:
+    """Strictly increasing, finite, nonnegative smoothing-parameter candidates."""
+
+    values: tuple
+
+    def __post_init__(self):
+        vals = tuple(float(x) for x in np.atleast_1d(np.asarray(self.values, dtype=float)))
+        if len(vals) == 0:
+            raise ValueError("lambda grid must be nonempty")
+        if not all(np.isfinite(vals)) or any(x < 0 for x in vals):
+            raise ValueError("lambda grid values must be finite and nonnegative")
+        if any(b <= a for a, b in zip(vals, vals[1:])):
+            raise ValueError("lambda grid must be strictly increasing")
+        object.__setattr__(self, "values", vals)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values)
+
+    @classmethod
+    def log_default(cls, lo: float = 1e-6, hi: float = 1e4, num: int = 20) -> "LambdaGrid":
+        """Log-spaced default grid; excludes an exact 0, where GCV degenerates to 0/0."""
+        if not 0.0 < lo <= hi < np.inf:
+            raise ValueError(f"a log-spaced lambda grid needs 0 < lo <= hi < inf, got lo={lo}, hi={hi}")
+        if num < 1 or (num == 1) != (lo == hi):
+            raise ValueError("a log-spaced lambda grid needs num >= 1, and num == 1 exactly when lo == hi, "
+                             f"got lo={lo}, hi={hi}, num={num}")
+        return cls(tuple(np.logspace(np.log10(lo), np.log10(hi), num)))
+
+
+@dataclass(frozen=True, eq=False)
+class GcvTrace:
+    """One GCV sweep: the grid's values, their scores and hat traces, and the index of the pick."""
+
+    lambdas: tuple
+    scores: np.ndarray
+    hat_traces: np.ndarray
+    chosen: int
+
+    def write_csv(self, path) -> None:
+        write_csv(path, ["lambda", "gcv", "hat_trace", "chosen"],
+                  ([repr(lam), repr(score), repr(tr), int(i == self.chosen)] for i, (lam, score, tr)
+                   in enumerate(zip(self.lambdas, self.scores.tolist(), self.hat_traces.tolist()))))
 
 
 class DegenerateSystemError(ValueError):
@@ -152,9 +205,5 @@ class ConditionalKernel:
         finite = np.isfinite(scores)
         if not finite.any():
             raise ValueError("GCV degenerate on grid: no candidate produced a finite score")
-        chosen_idx = int(np.argmin(np.where(finite, scores, np.inf)))
-        records = tuple(
-            GcvRecord(lam, s, tr, i == chosen_idx)
-            for i, (lam, s, tr) in enumerate(zip(grid.values, scores.tolist(), traces.tolist()))
-        )
-        return grid.values[chosen_idx], GcvTrace(records)
+        chosen = int(np.argmin(np.where(finite, scores, np.inf)))
+        return grid.values[chosen], GcvTrace(grid.values, scores, traces, chosen)

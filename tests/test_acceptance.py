@@ -23,7 +23,6 @@ from robrsvd.dataio import MatrixFile, energy_percentages, load, log_transform
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, two_way_penalty, build_roughness_penalty
 from robrsvd.robust import RobustLossSpec, squared_loss_spec
-from robrsvd.selection import LambdaGrid
 from robrsvd.simulate import (
     SimScenario,
     generate,
@@ -32,7 +31,7 @@ from robrsvd.simulate import (
     run_benchmark,
 )
 from robrsvd.splines import interpolate
-from robrsvd.updates import ConditionalKernel
+from robrsvd.updates import ConditionalKernel, LambdaGrid
 from conftest import dense_gcv_v, dense_hat_trace_v, dense_update_v, mirror, update_u_given_v, update_v_given_u
 
 

@@ -150,9 +150,20 @@ def test_simulate_rejects_threads_below_one(tmp_path, capsys):
      "noise_variance must be a finite number >= 0, got nan"),
     (["simulate", "--scenario", "none", "--rows", "12", "--cols", "12", "--replications", "2", "--sigma2", "inf"],
      "noise_variance must be a finite number >= 0, got inf"),
+    (["simulate", "--replications", "2", "--methods", "svd,rsvd", "--seed", "-1"],
+     "base_seed must be a nonnegative integer, got -1"),
+    (["simulate", "--replications", "2", "--methods", "svd,rsvd", "--rows", "8", "--cols", "8",
+      "--scenario", "outlying_cells"], "outlying_cells needs at least 100 cells, got a 8x8 grid"),
+    (["simulate", "--replications", "2", "--methods", "svd,rsvd", "--rows", "4", "--cols", "10",
+      "--scenario", "outlying_rows"], "outlying_rows needs at least 5 rows, got a 4x10 grid"),
+    (["simulate", "--replications", "2", "--methods", "svd,rsvd", "--rows", "8", "--cols", "8",
+      "--scenario", "outlying_block"], "outlying_block needs at least 10 rows and columns, got a 8x8 grid"),
+    (["simulate", "--replications", "2", "--methods", "svd,rsvd", "--rows", "1", "--cols", "5"],
+     "grid_size must be at least 2x2, got 1x5"),
 ], ids=["decompose-rank", "decompose-sigma", "decompose-missing", "decompose-spline-points-negative",
         "decompose-spline-points-zero", "simulate-methods", "simulate-mask-count", "simulate-sigma2-nan",
-        "simulate-sigma2-inf"])
+        "simulate-sigma2-inf", "simulate-seed-negative", "simulate-cells-8x8", "simulate-rows-4x10",
+        "simulate-block-8x8", "simulate-grid-1x5"])
 def test_a_rejected_command_creates_no_out_folder(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     paths = {"diag": write_diag_csv(tmp_path), "missing": str(tmp_path / "absent.csv")}
@@ -243,12 +254,12 @@ def test_gcv_trace_matches_first_v_sweep_of_decompose(tmp_path, masked):
 
     X = load(MatrixFile(path))
     decomp = fit(X, rank=1, opts=FitOptions(max_iter=1))
-    want = decomp.components[0].history["gcv_trace_v"].records
+    want = decomp.components[0].history["gcv_trace_v"]
     rows = read_rows(out)[1:]
-    assert [float(r[0]) for r in rows] == [rec.lam for rec in want]
-    assert [r[3] == "1" for r in rows] == [rec.chosen for rec in want]
-    np.testing.assert_allclose([float(r[1]) for r in rows], [rec.score for rec in want], rtol=1e-12)
-    np.testing.assert_allclose([float(r[2]) for r in rows], [rec.hat_trace for rec in want], rtol=1e-12)
+    assert [float(r[0]) for r in rows] == list(want.lambdas)
+    assert [r[3] == "1" for r in rows] == [i == want.chosen for i in range(len(want.lambdas))]
+    np.testing.assert_allclose([float(r[1]) for r in rows], want.scores, rtol=1e-12)
+    np.testing.assert_allclose([float(r[2]) for r in rows], want.hat_traces, rtol=1e-12)
 
 
 def test_transform_through_file_interface(tmp_path):
@@ -302,6 +313,12 @@ def test_read_config_file_parsing(tmp_path):
     parsed = read_config_file(config)
     # values stay text; argparse reads them through each option's type
     assert parsed == {"a": "3", "b": "0.5", "c": "true", "d": "hello", "e": "-999"}
+
+
+def test_config_file_with_a_byte_order_mark_reads_its_first_key(tmp_path):
+    config = tmp_path / "c.cfg"
+    config.write_bytes(b"\xef\xbb\xbfmethod = rsvd\n")
+    assert read_config_file(config) == {"method": "rsvd"}
 
 
 def test_config_missing_token_is_read_like_the_flag(tmp_path):
@@ -379,6 +396,20 @@ def test_manifests_record_every_default(tmp_path, monkeypatch):
         assert manifest["config"] == cfg, command
         assert set(manifest["blas_threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
     assert calls[0]["methods"] == ["svd", "rsvd", "robrsvd"]
+
+
+def test_manifest_of_an_infinite_theta_is_json(tmp_path):
+    # Python's json wrote the bare token Infinity, which no RFC 8259 parser reads
+    path, _ = contaminated_fixture(tmp_path)
+    out = tmp_path / "out"
+    assert main(["decompose", path, "--theta", "inf", "--lambda-count", "3", "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+    assert manifest["config"]["theta"] == "inf"
+    assert manifest["config"]["lambda_count"] == 3
 
 
 def test_manifests_record_blas_threading(tmp_path, monkeypatch):

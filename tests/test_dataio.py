@@ -51,6 +51,24 @@ def test_triplet_header_optional(tmp_path):
     assert X.mask.all()
 
 
+@pytest.mark.parametrize("fmt, text", [
+    ("hmd_triplet", "1908,0,0.5\n1908,1,.\n1909,0,0.25\n1909,1,0.125\n"),
+    ("dense_csv", "year\\age,0,1\n1908,0.5,.\n1909,0.25,0.125\n"),
+], ids=["hmd_triplet", "dense_csv"])
+def test_byte_order_mark_is_not_part_of_the_first_field(tmp_path, fmt, text):
+    # a BOM-prefixed first field used to fail float(), so the triplet reader
+    # took its first data row for the optional header and dropped cell (1908, 0)
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    want, got = (load(MatrixFile(str(p), format=fmt)) for p in (plain, bom))
+    np.testing.assert_array_equal(got.mask, want.mask)
+    np.testing.assert_array_equal(got.values, want.values)
+    np.testing.assert_array_equal(got.row_grid, want.row_grid)
+    np.testing.assert_array_equal(got.col_grid, want.col_grid)
+    assert got.mask.sum() == 3
+
+
 def test_open_age_group_label(tmp_path):
     path = write(tmp_path / "m.csv", "year,109,110+\n1908,0.5,0.7\n1909,0.4,0.6\n")
     X = load(MatrixFile(path))

@@ -19,8 +19,8 @@ from robrsvd.decompose import (
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import RobustLossSpec, squared_loss_spec
-from robrsvd.selection import LambdaGrid
 from robrsvd.simulate import SimScenario, generate, mask_random, metric_l2, metric_principal_angle
+from robrsvd.updates import LambdaGrid
 
 
 def smooth_rank_one(m=20, n=15, scale=50.0):

@@ -16,8 +16,8 @@ from robrsvd.decompose import (
 from robrsvd.matrices import ObservedMatrix
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
 from robrsvd.robust import RobustLossSpec, estimate_scale_mad
-from robrsvd.selection import LambdaGrid
 from robrsvd.simulate import SimScenario, generate, mask_random
+from robrsvd.updates import LambdaGrid
 from conftest import imputation_oracle
 
 

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robrsvd.decompose import fit_start, spline_penalties
 from robrsvd.penalties import TwoWayPenaltySpec, build_roughness_penalty
-from robrsvd.selection import GcvTrace, LambdaGrid
-from robrsvd.updates import ConditionalKernel, DegenerateSystemError
+from robrsvd.robust import RobustLossSpec
+from robrsvd.simulate import SimScenario, generate
+from robrsvd.updates import ConditionalKernel, DegenerateSystemError, GcvTrace, LambdaGrid
 from conftest import dense_gcv_v, dense_systems_v, mirror, random_psd, update_u_given_v, update_v_given_u
 
 
@@ -118,8 +120,8 @@ def select_over(grid, scores, traces=NO_TRACES):
 def test_select_lambda_basic_and_ties():
     lam, trace = select_over(LambdaGrid((0.1, 1.0, 10.0)), [3.0, 1.0, 2.0])
     assert lam == 1.0
-    assert trace.chosen.lam == 1.0
-    assert sum(r.chosen for r in trace.records) == 1
+    assert trace.lambdas[trace.chosen] == 1.0
+    assert trace.chosen == 1
 
     lam, _ = select_over(LambdaGrid((0.1, 1.0, 10.0)), [1.0, 1.0, 5.0])
     assert lam == 0.1  # ties break toward smaller lambda
@@ -133,8 +135,8 @@ def test_select_lambda_all_nonfinite_errors():
 def test_select_lambda_skips_nan_scores():
     lam, trace = select_over(LambdaGrid((0.1, 1.0, 10.0)), [np.nan, 2.0, 1.0])
     assert lam == 10.0
-    assert [r.chosen for r in trace.records] == [False, False, True]
-    assert np.isnan(trace.records[0].score)
+    assert trace.chosen == 2
+    assert np.isnan(trace.scores[0])
     with pytest.raises(ValueError, match="degenerate"):
         select_over(LambdaGrid((0.1, 1.0, 10.0)), [np.nan, np.inf, np.nan])
 
@@ -190,6 +192,37 @@ def test_trace_csv_schema(tmp_path):
     assert lines[0] == "lambda,gcv,hat_trace,chosen"
     assert len(lines) == 3
     assert lines[2].endswith(",1")  # lambda=1.0 chosen
+
+
+@pytest.mark.parametrize("side", ["v", "u"])
+def test_sweep_record_is_the_kernel_scores_and_their_argmin(side):
+    X = generate(SimScenario(grid_size=(30, 25), contamination="outlying_rows", seed=4)).data
+    loss = RobustLossSpec()
+    s, u, v, sigma = fit_start(X, loss)
+    weights = loss.weights(X.values - s * np.outer(u, v), sigma)
+    spec = spline_penalties(X)
+    if side == "v":
+        kernel = ConditionalKernel(X, u, weights, spec)
+    else:
+        kernel = ConditionalKernel.for_u(X, v, weights, spec)
+    grid = LambdaGrid.log_default()
+    lam, trace = kernel.select(grid)
+    assert isinstance(trace, GcvTrace)
+    scores, traces = kernel.scores(grid)
+    np.testing.assert_array_equal(trace.scores, scores)
+    np.testing.assert_array_equal(trace.hat_traces, traces)
+    assert trace.lambdas == grid.values
+    finite = np.flatnonzero(np.isfinite(scores))
+    assert trace.chosen == finite[np.argmin(scores[finite])]
+    assert lam == grid.values[trace.chosen]
+
+
+def test_trace_csv_writes_each_value_repr_and_one_chosen_cell(tmp_path):
+    trace = GcvTrace((0.1, 1.0, 10.0), np.array([np.nan, np.inf, 2.5]), np.array([3.0, 2.0, 1.5]), 2)
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    assert path.read_bytes() == (b"lambda,gcv,hat_trace,chosen\r\n"
+                                 b"0.1,nan,3.0,0\r\n1.0,inf,2.0,0\r\n10.0,2.5,1.5,1\r\n")
 
 
 def both_sides(inst):

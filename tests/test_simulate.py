@@ -184,16 +184,17 @@ def test_benchmark_noise_free_svd_is_exact():
 
 def test_benchmark_reproducible_and_thread_invariant():
     scen = SimScenario(grid_size=(15, 15), noise_variance=0.5, contamination="outlying_cells")
-    # an 8x8 grid cannot host the 10x10 outlying block, so its replications fail
-    bad = SimScenario(grid_size=(8, 8), noise_variance=0.0, contamination="outlying_block")
-    for mask_count in (0, 10):
-        kwargs = dict(methods=("svd", "rsvd"), replications=3, base_seed=123, mask_count=mask_count)
+    # robrsvd fails on complete noise-free data, whose residual scale is at
+    # the rounding level; with 10 cells masked its start's scale is not
+    bad = SimScenario(grid_size=(8, 8), noise_variance=0.0, contamination="none")
+    for mask_count, failed in ((0, 3), (10, 0)):
+        kwargs = dict(methods=("svd", "rsvd", "robrsvd"), replications=3, base_seed=123, mask_count=mask_count)
         a = run_benchmark([scen, bad], threads=1, **kwargs)
         b = run_benchmark([scen, bad], threads=4, **kwargs)
         assert multiprocessing.active_children() == []
         assert a.summary == b.summary
         assert a.records == b.records
-        assert len(a.failures) == 6
+        assert len(a.failures) == failed
         assert a.failures == b.failures
 
 
@@ -206,12 +207,12 @@ def test_worker_count_is_bounded_by_jobs_and_cores():
 
 
 def test_benchmark_records_failures_without_aborting():
-    # an 8x8 grid cannot host the 10x10 outlying block
-    bad = SimScenario(grid_size=(8, 8), noise_variance=0.0, contamination="outlying_block")
-    good = SimScenario(grid_size=(12, 12), noise_variance=0.0, contamination="none")
-    res = run_benchmark([bad, good], methods=("svd",), replications=2, base_seed=0)
-    assert len(res.failures) == 2
-    assert any(r["scenario"] == "none" for r in res.summary)
+    # robrsvd fails on noise-free data, whose residual scale is at the rounding level
+    bad = SimScenario(grid_size=(8, 8), noise_variance=0.0, contamination="none")
+    good = SimScenario(grid_size=(12, 12), noise_variance=0.5, contamination="none")
+    res = run_benchmark([bad, good], methods=("robrsvd",), replications=2, base_seed=0)
+    assert [(f["replication"], "rounding level" in f["error"]) for f in res.failures] == [(0, True), (1, True)]
+    assert any(r["scenario"] == "none" and r["sigma2"] == 0.5 for r in res.summary)
 
 
 def test_benchmark_rejects_unknown_methods_before_any_replication(monkeypatch):
@@ -288,3 +289,34 @@ def test_scenario_names_a_noise_variance_that_is_not_finite_and_nonnegative(valu
     # NaN fails every comparison, so "< 0" let it through to a noise-free draw
     with pytest.raises(ValueError, match=re.escape(f"noise_variance must be a finite number >= 0, got {value}")):
         SimScenario(noise_variance=value)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(grid_size=(1, 5)), "grid_size must be at least 2x2, got 1x5"),
+    (dict(grid_size=(8, 8), contamination="outlying_cells"), "outlying_cells needs at least 100 cells, got a 8x8 grid"),
+    (dict(grid_size=(4, 10), contamination="outlying_rows"), "outlying_rows needs at least 5 rows, got a 4x10 grid"),
+    (dict(grid_size=(10, 9), contamination="outlying_block"),
+     "outlying_block needs at least 10 rows and columns, got a 10x9 grid"),
+    (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
+])
+def test_scenario_that_can_never_be_generated_is_rejected(kwargs, message):
+    # these used to fail inside every replication, leaving an empty summary
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimScenario(**kwargs)
+
+
+def test_smallest_grids_that_host_each_contamination_generate():
+    for contamination, size in (("outlying_cells", (10, 10)), ("outlying_rows", (5, 2)),
+                                ("outlying_block", (10, 10)), ("diagonal", (2, 2)), ("none", (2, 2))):
+        res = generate(SimScenario(grid_size=size, contamination=contamination))
+        assert res.data.shape == size
+
+
+def test_benchmark_rejects_a_negative_base_seed_before_any_replication(monkeypatch):
+    import robrsvd.simulate as simulate
+
+    ran = []
+    monkeypatch.setattr(simulate, "_one_replication", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match="base_seed must be a nonnegative integer, got -1"):
+        run_benchmark([SimScenario(grid_size=(12, 12))], methods=("svd",), replications=2, base_seed=-1)
+    assert ran == []
